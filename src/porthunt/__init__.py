@@ -30,7 +30,6 @@ from .path_algebra import (
 from .port_graph import (
     Degree,
     FiniteGraph,
-    FiniteGraphSpec,
     PortGraph,
     build_finite,
     builtin,
@@ -44,7 +43,6 @@ from .rendezvous_engine import (
     RvResult,
     alloc,
     bound_time,
-    plan_bit,
     run_urv,
     trans,
 )

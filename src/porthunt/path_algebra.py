@@ -40,10 +40,6 @@ def type_of(path: Path) -> PathType:
     return (max(path), len(path))
 
 
-def path_value(path: Path) -> int:
-    return value(*type_of(path))
-
-
 def _iroot(n: int, y: int) -> int:
     """Floor of the y-th root of n >= 1, by integer Newton iteration."""
     if n < 2 or y == 1:

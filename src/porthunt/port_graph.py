@@ -61,11 +61,6 @@ class PortGraph:
         """Full node list for finite graphs, None for infinite generators."""
         return None
 
-    def seed_nodes(self) -> List[NodeId]:
-        """Designated starting nodes (used when sampling infinite graphs)."""
-        ns = self.nodes()
-        return ns[:1] if ns else []
-
     def contains(self, v: NodeId) -> bool:
         try:
             self.degree(v)
@@ -266,9 +261,6 @@ class _LazyTree(PortGraph):
         self._materialized.update((v, result[0]))
         return result
 
-    def seed_nodes(self) -> List[NodeId]:
-        return [_ROOT]
-
     @property
     def materialized_count(self) -> int:
         return len(self._materialized)
@@ -396,7 +388,7 @@ def _side(edge: Tuple[int, int], node: int, occurrence: int) -> int:
     return 0 if node == a else 1
 
 
-_FAMILIES = {
+FAMILIES = {
     "two_node": (0, lambda: two_node()),
     "ring": (1, ring),
     "complete": (1, complete),
@@ -410,15 +402,12 @@ _FAMILIES = {
 def builtin(name: str, params: Sequence[int] = ()) -> PortGraph:
     """Construct a builtin graph family by name."""
     try:
-        arity, ctor = _FAMILIES[name]
+        arity, ctor = FAMILIES[name]
     except KeyError:
         raise UnknownFamily(f"unknown family {name!r}") from None
     if len(params) != arity:
         raise BadParams(f"{name} takes {arity} parameter(s), got {len(params)}")
     return ctor(*params)
-
-
-TREE_ROOT = _ROOT
 
 
 def tree_node(*indices: int) -> NodeId:

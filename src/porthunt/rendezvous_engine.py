@@ -1,4 +1,4 @@
-"""Two-agent rendezvous: label tapes, the 3i^2 bit scheduler, round simulator.
+"""Two-agent rendezvous: label tapes, the 3i^2 bit scheduler, one bit walker.
 
 Each agent derives an infinite periodic bit tape from its label and processes
 bit i for exactly 3 * i**2 rounds.  A 1-bit in the j-th tape segment walks the
@@ -8,13 +8,15 @@ at their starting node.
 
 The simulator is synchronous.  Meetings are detected at round boundaries only;
 agents crossing the same edge in opposite directions do not meet.  A dormant
-(not yet woken) agent sits at its start node and can be met there.
+(not yet woken) agent sits at its start node and can be met there.  Both
+simulators consume the move events of ``_move_events``: the fast loop jumps
+between them, the traced one renders every round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from .errors import NegativeWait, PreconditionError, RoundBudgetExceeded
@@ -74,98 +76,19 @@ class PathBook:
         return self._cache[j - 1]
 
 
-Action = Tuple[str, int]  # ("move", port) or ("wait", 0)
-
-
-@dataclass
-class BitPlan:
-    bit_index: int
-    bit_value: int
-    segment_index: int
-    path: Path
-    actions: List[Action] = field(default_factory=list)  # exactly alloc(bit_index) long
-
-
-def _bit_actions(
-    g: PortGraph, home: NodeId, bit_index: int, bit_value: int, path: Path
-) -> Iterator[Action]:
-    """The per-round actions of one bit, starting and ending at home."""
-    duration = alloc(bit_index)
-    if bit_value == 0:
-        for _ in range(duration):
-            yield ("wait", 0)
-        return
-    pos = home
-    entries: List[int] = []
-    for p in path:
-        if not g.degree(pos).has_port(p):
-            break
-        pos, q = g.neighbor(pos, p)
-        entries.append(q)
-        yield ("move", p)
-    pad = duration - 2 * len(entries)
-    if pad < 0:
-        raise NegativeWait(
-            f"bit {bit_index} (duration {duration}) cannot fit path {path}"
-        )
-    for _ in range(pad):
-        yield ("wait", 0)
-    for q in reversed(entries):
-        yield ("move", q)
-
-
-def plan_bit(
-    i: int,
-    bit: int,
-    g: PortGraph,
-    home: NodeId,
-    mode: EnumMode = EnumMode.FIXED,
-    period: int = 1,
-    book: Optional[PathBook] = None,
-) -> BitPlan:
-    """Concrete action list for the i-th bit; the bit lies in segment
-    j = (i-1)//period + 1 and a 1-bit walks the j-th global path."""
-    j = (i - 1) // period + 1
-    book = book or PathBook(mode)
-    path = book.get(j)
-    actions = list(_bit_actions(g, home, i, bit, path))
-    assert len(actions) == alloc(i)
-    return BitPlan(bit_index=i, bit_value=bit, segment_index=j, path=path, actions=actions)
-
-
-def agent_rounds(
-    g: PortGraph,
-    home: NodeId,
-    label: int,
-    mode: EnumMode = EnumMode.FIXED,
-    book: Optional[PathBook] = None,
-) -> Iterator[Tuple[NodeId, str, int, int, int, int]]:
-    """Per-round stream (node_after, action, port, bit_index, bit_value, segment)."""
-    seg = trans(label)
-    s = len(seg)
-    book = book or PathBook(mode)
-    pos = home
-    i = 0
-    while True:
-        i += 1
-        bit = seg[(i - 1) % s]
-        j = (i - 1) // s + 1
-        for action, port in _bit_actions(g, home, i, bit, book.get(j)):
-            if action == "move":
-                pos, _ = g.neighbor(pos, port)
-            yield (pos, action, port, i, bit, j)
-
-
 def _move_events(
     g: PortGraph,
     home: NodeId,
     label: int,
     mode: EnumMode,
     book: Optional[PathBook] = None,
-) -> Iterator[Tuple[int, NodeId]]:
-    """Only the rounds where the agent changes position: (local round, new node).
+) -> Iterator[Tuple[int, NodeId, int]]:
+    """The only bit walker: the rounds where the agent changes position, as
+    (local round, new node, port taken).
 
-    Waits are skipped in O(1); positions are constant between yields.
+    A 1-bit in segment j walks the maximal feasible prefix of the j-th global
+    path, waits, and walks back through the learned entry ports; a 0-bit
+    waits.  Waits are skipped in O(1); positions are constant between yields.
     """
     seg = trans(label)
     s = len(seg)
@@ -188,7 +111,7 @@ def _move_events(
             pos, q = g.neighbor(pos, p)
             entries.append(q)
             r += 1
-            yield (r, pos)
+            yield (r, pos, p)
         pad = duration - 2 * len(entries)
         if pad < 0:
             raise NegativeWait(f"bit {i} cannot fit path {path}")
@@ -196,7 +119,26 @@ def _move_events(
         for q in reversed(entries):
             pos, _ = g.neighbor(pos, q)
             r += 1
-            yield (r, pos)
+            yield (r, pos, q)
+
+
+def _agent_rows(
+    g: PortGraph, home: NodeId, label: int, mode: EnumMode, book: PathBook
+) -> Iterator[Tuple[NodeId, str, int, int, int, int]]:
+    """Per-round (node, action, port, bit_index, bit_value, segment) rendered
+    from _move_events; bit i covers local rounds bound_time(i-1)+1..bound_time(i)."""
+    seg = trans(label)
+    s = len(seg)
+    pos, r, i, end, bit = home, 0, 0, 0, ()
+    for move_round, node, port in _move_events(g, home, label, mode, book):
+        while end < move_round:  # wait out bit i, then start bit i + 1
+            yield from repeat((pos, "wait", 0) + bit, end - r)
+            r, i = end, i + 1
+            end = bound_time(i)
+            bit = (i, seg[(i - 1) % s], (i - 1) // s + 1)
+        yield from repeat((pos, "wait", 0) + bit, move_round - 1 - r)
+        pos, r = node, move_round
+        yield (pos, "move", port) + bit
 
 
 @dataclass
@@ -266,12 +208,13 @@ def _run_traced(
     start2: Tuple[NodeId, int],
     cfg: RvConfig,
 ) -> RvResult:
-    """Round-by-round simulation emitting one trace row per agent per round."""
+    """Round-by-round simulation emitting one trace row per agent per round,
+    rendered from the same event walker as the fast loop."""
     (v1, l1), (v2, l2) = start1, start2
     trace = cfg.trace
     book = PathBook(cfg.mode)
-    rounds1 = agent_rounds(g, v1, l1, cfg.mode, book)
-    rounds2 = agent_rounds(g, v2, l2, cfg.mode, book)
+    rounds1 = _agent_rows(g, v1, l1, cfg.mode, book)
+    rounds2 = _agent_rows(g, v2, l2, cfg.mode, book)
     pos1, pos2 = v1, v2
     for r in range(1, cfg.max_rounds + 1):
         pos1, act, port, i, b, j = next(rounds1)

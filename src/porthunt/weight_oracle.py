@@ -33,16 +33,6 @@ class WeightResult:
     witness_index: int  # its 1-based position in that order
 
 
-def _endpoint(g: PortGraph, u: NodeId, path: Path) -> Optional[NodeId]:
-    """Node reached by walking the full path from u, or None if it breaks off."""
-    pos = u
-    for p in path:
-        if not g.degree(pos).has_port(p):
-            return None
-        pos, _ = g.neighbor(pos, p)
-    return pos
-
-
 def _search_type(
     g: PortGraph, u: NodeId, v: NodeId, m: int, delta: int
 ) -> Optional[Tuple[Path, int]]:
@@ -87,6 +77,7 @@ def _first_connecting(
     g: PortGraph, u: NodeId, v: NodeId, cap: int, mode: EnumMode
 ) -> Tuple[Path, int, PathType, int]:
     """First full u -> v path in the global order, with its index, type and value."""
+    g.degree(v)  # an unknown target raises UnknownNode here instead of CapExceeded at the cap
     index = 0
     for m, delta in types_in_order(mode):
         val = value(m, delta)

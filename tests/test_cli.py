@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import porthunt
 from porthunt.errors import ParseError
 from porthunt.experiments_cli import (
     EXIT_BAD_INPUT,
@@ -183,6 +188,83 @@ def test_bench_unknown_kind_is_exit_1(tmp_path):
     suite = _write_suite(tmp_path, [{"kind": "mystery"}])
     assert main(["bench", "--suite", suite, "--out",
                  str(tmp_path / "r.csv")]) == EXIT_FAIL
+
+
+def test_bench_bad_specs_are_failed_rows(tmp_path, graph_file):
+    good = {"kind": "hunt", "graph": "two_node", "base": "u", "treasure": "v"}
+    suite = _write_suite(tmp_path, [
+        {"kind": "hunt", "graph": "two_node", "base": "u"},  # missing key
+        5,  # a check that is not an object
+        ["hunt"],
+        dict(good, max_steps="10"),  # wrong type
+        dict(good, mode="bogus"),  # not a choice
+        dict(good, max_steps=True),
+        {"kind": "rv", "graph": "two_node", "start1": "u", "label1": 0,
+         "start2": "v", "label2": 2},  # below the minimum
+        good,
+    ])
+    out = str(tmp_path / "report.csv")
+    assert main(["bench", "--suite", suite, "--out", out]) == EXIT_FAIL
+    rows = list(csv.reader(open(out)))[1:]
+    assert len(rows) == 8
+    assert [r[2] for r in rows[:7]] == ["BadParams"] * 7
+    assert all(r[-1] == "fail" for r in rows[:7])
+    assert "'treasure'" in rows[0][3] and "max_steps" in rows[3][3] and "mode" in rows[4][3]
+    assert [r[0] for r in rows[:3]] == ["hunt", "unknown", "unknown"]
+    assert rows[7][-1] == "pass"
+
+
+def test_bench_checks_the_oracle_cap_before_the_hunt(tmp_path, graph_file):
+    suite = _write_suite(tmp_path, [
+        {"kind": "hunt", "graph": graph_file, "base": "u", "treasure": "v",
+         "max_steps": 5, "cap": 16},
+    ])
+    out = str(tmp_path / "report.csv")
+    assert main(["bench", "--suite", suite, "--out", out]) == EXIT_FAIL
+    assert list(csv.reader(open(out)))[1][2] == "CapExceeded"
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    json.dumps([{"kind": "lowerbound", "i": 1}]),  # a suite that is not an object
+    json.dumps({"checks": {"kind": "lowerbound", "i": 1}}),  # checks not a list
+])
+def test_bench_malformed_suite_is_exit_2(tmp_path, text):
+    p = tmp_path / "suite.json"
+    p.write_text(text)
+    assert main(["bench", "--suite", str(p)]) == EXIT_BAD_INPUT
+
+
+def _run_cli(*args):
+    src = str(Path(porthunt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "porthunt.experiments_cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+_HUNT = ["hunt", "--graph", "two_node", "--base", "u", "--treasure", "v"]
+
+
+@pytest.mark.parametrize("args", [
+    ["hunt", "--graph", "ring:x", "--base", "0", "--treasure", "1"],
+    ["rv", "--graph", "two_node", "--start1", "u", "--label1", "0",
+     "--start2", "v", "--label2", "2"],
+    ["sleeper", "--graph", "two_node", "--start1", "u", "--label1", "0", "--start2", "v"],
+    _HUNT + ["--max-steps", "0"],
+    _HUNT + ["--max-steps", "0", "--trace", "{tmp}/t.csv"],
+    _HUNT + ["--trace", "{tmp}/missing/t.csv"],
+    ["weight", "--graph", "two_node", "--from", "u", "--to", "nope"],
+    ["lowerbound", "--i", "1", "--max-steps", "0"],
+    ["bench", "--suite", "{tmp}/missing.json"],
+    ["hunt", "--graph", "{tmp}", "--base", "u", "--treasure", "v"],
+], ids=["graph-params", "rv-label", "sleeper-label", "max-steps", "max-steps-traced",
+        "trace-path", "unknown-node", "lowerbound-steps", "suite-path", "graph-dir"])
+def test_bad_input_exits_2_without_traceback(tmp_path, args):
+    proc = _run_cli(*[a.format(tmp=tmp_path) for a in args])
+    assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(("error:", "usage:"))
 
 
 def test_bench_empty_suite_is_ok(tmp_path):

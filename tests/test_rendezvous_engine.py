@@ -1,15 +1,16 @@
+from itertools import islice
+
 import pytest
 
 from porthunt.battery import path3_graph
 from porthunt.errors import NegativeWait, PreconditionError, RoundBudgetExceeded
+from porthunt.path_algebra import EnumMode
 from porthunt.rendezvous_engine import (
     PathBook,
     RvConfig,
-    _bit_actions,
-    agent_rounds,
+    _move_events,
     alloc,
     bound_time,
-    plan_bit,
     run_urv,
     take_paths,
     tape_bit,
@@ -63,41 +64,72 @@ def test_take_paths_prefix():
     assert take_paths(6) == [(1,), (2,), (3,), (1, 1), (4,), (5,)]
 
 
+def _agent1_rows(g, home, label, rounds, far):
+    """Trace rows (node, action, port, bit_index, bit_value, segment) of agent 1
+    for its first `rounds` rounds; agent 2 sleeps at `far`, which agent 1 must
+    not reach that early."""
+    rows = []
+    with pytest.raises(RoundBudgetExceeded):
+        run_urv(g, (home, label), (far, label + 1),
+                RvConfig(delay=rounds, max_rounds=rounds, trace=rows.append))
+    return [row[3:] for row in rows if row[1] == 1]
+
+
 def test_plan_bit_examples_on_two_node():
-    g = two_node()
-    p1 = plan_bit(1, 1, g, "u")
-    assert p1.path == (1,)
-    assert p1.actions == [("move", 1), ("wait", 0), ("move", 1)]
-    # bit 2 targets path (2,); port 2 does not exist at u, so 12 pure waits
-    p2 = plan_bit(2, 1, g, "u")
-    assert p2.path == (2,)
-    assert p2.actions == [("wait", 0)] * 12
+    # label 1 has tape 1101: bits 1-3 lie in segment 1 and a 1-bit walks path (1,)
+    rows = []
+    run_urv(two_node(), ("u", 1), ("v", 2), RvConfig(trace=rows.append))
+    agent1 = [row[3:] for row in rows if row[1] == 1]
+    assert [row[1:3] for row in agent1[:3]] == [("move", 1), ("wait", 0), ("move", 1)]
+    assert {row[3:] for row in agent1[:3]} == {(1, 1, 1)}
+    assert [row[1:3] for row in agent1[3:15]] == [("move", 1)] + [("wait", 0)] * 10 + [("move", 1)]
+    assert {row[3:] for row in agent1[3:15]} == {(2, 1, 1)}
     # a 0-bit always waits out its allocation
-    p3 = plan_bit(3, 0, g, "u")
-    assert p3.actions == [("wait", 0)] * 27
+    assert [row[1:] for row in agent1[15:42]] == [("wait", 0, 3, 0, 1)] * 27
+    # bits 5-8 target path (2,); port 2 does not exist at u, so the agent does not
+    # move from the end of bit 4 until segment 4 walks path (1, 1) in bit 13
+    events = list(islice(_move_events(two_node(), "u", 1, EnumMode.FIXED), 7))
+    assert events == [(1, "v", 1), (3, "u", 1), (4, "v", 1), (15, "u", 1),
+                      (43, "v", 1), (90, "u", 1), (bound_time(12) + 1, "v", 1)]
 
 
 @pytest.mark.parametrize("i", range(1, 8))
 @pytest.mark.parametrize("bit", [0, 1])
 def test_plan_bit_length_is_allocation(i, bit):
-    g = builtin("ring", [5])
-    plan = plan_bit(i, bit, g, "0", period=4)
-    assert len(plan.actions) == alloc(i)
-    assert plan.segment_index == (i - 1) // 4 + 1
+    # a label whose tape has `bit` at i; every tape opens with a doubled 1, so
+    # bits 1 and 2 are never 0 and fall back to label 1
+    label = next((n for n in range(1, 64) if tape_bit(n, i) == bit), 1)
+    rows = _agent1_rows(builtin("ring", [5]), "0", label, bound_time(i), far="2")
+    of_bit = [row for row in rows if row[3] == i]
+    assert len(of_bit) == alloc(i)
+    assert rows[-len(of_bit):] == of_bit  # the bit's rounds are the last ones
+    value = tape_bit(label, i)
+    assert {row[4:] for row in of_bit} == {(value, (i - 1) // len(trans(label)) + 1)}
+    if value == 0:
+        assert {row[:3] for row in of_bit} == {("0", "wait", 0)}
+
+
+class _StubBook:
+    """A path book that serves the same path for every segment."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def get(self, j):
+        return self.path
 
 
 def test_bit_actions_reject_overlong_path():
     g = builtin("ring", [5])
+    events = _move_events(g, "0", 1, EnumMode.FIXED, _StubBook((1, 1, 1, 1)))
     with pytest.raises(NegativeWait):
-        list(_bit_actions(g, "0", 1, 1, (1, 1, 1, 1)))  # 8 moves into 3 rounds
+        list(events)  # bit 1 lasts 3 rounds: 8 moves cannot fit
 
 
 def test_agent_returns_home_at_every_bit_boundary():
-    g = builtin("ring", [5])
-    stream = agent_rounds(g, "0", 5)
+    rows = _agent1_rows(builtin("ring", [5]), "0", 5, bound_time(5), far="2")
     boundaries = {bound_time(i) for i in range(1, 6)}
-    for r in range(1, bound_time(5) + 1):
-        node, _act, _port, i, bit, j = next(stream)
+    for r, (node, _act, _port, i, bit, _j) in enumerate(rows, start=1):
         assert bit == tape_bit(5, i)
         if r in boundaries:
             assert node == "0"
@@ -155,14 +187,17 @@ def test_reference_meeting_round_is_43():
     assert _naive_meeting(two_node(), ("u", 1), ("v", 2)) == (43, r.meeting_node)
 
 
-@pytest.mark.parametrize("g,s1,s2,delay", [
+CASES = [
     (two_node(), ("u", 1), ("v", 2), 0),
     (two_node(), ("u", 1), ("v", 2), 1),
     (two_node(), ("u", 2), ("v", 1), 5),
     (path3_graph(), ("u", 1), ("v", 2), 0),
     (builtin("ring", [3]), ("0", 3), ("2", 5), 0),
     (builtin("ring", [4]), ("0", 1), ("2", 2), 17),
-])
+]
+
+
+@pytest.mark.parametrize("g,s1,s2,delay", CASES)
 def test_simulator_matches_naive_and_trace(g, s1, s2, delay):
     fast = run_urv(g, s1, s2, RvConfig(delay=delay))
     rows = []
@@ -171,6 +206,21 @@ def test_simulator_matches_naive_and_trace(g, s1, s2, delay):
     assert fast.meeting_round == traced.meeting_round == naive_round
     assert fast.meeting_node == traced.meeting_node == naive_node
     assert len(rows) == 2 * fast.meeting_round  # one row per agent per round
+
+
+@pytest.mark.parametrize("g,s1,s2,delay", CASES)
+def test_traced_rows_follow_naive_positions(g, s1, s2, delay):
+    # the traced and fast runners share one walker; the naive stream is independent
+    rows = []
+    run_urv(g, s1, s2, RvConfig(delay=delay, trace=rows.append))
+    naive1 = _naive_positions(g, s1[0], s1[1])
+    naive2 = _naive_positions(g, s2[0], s2[1])
+    for r, agent, awake, node, *_ in rows:
+        if agent == 1:
+            assert node == next(naive1)
+        else:
+            assert awake == (r > delay)
+            assert node == (next(naive2) if awake else s2[0])
 
 
 def test_crossing_an_edge_is_not_a_meeting():
