@@ -10,6 +10,7 @@ from .port_graph import (
     NodeId,
     _assign_ports,
     builtin,
+    distances,
     tree_node,
 )
 
@@ -123,19 +124,9 @@ def low_port_edge(g: FiniteGraph) -> Tuple[NodeId, NodeId]:
 
 def far_pair(g: FiniteGraph) -> Tuple[NodeId, NodeId]:
     """First node and a BFS-farthest node from it (deterministic tie-break)."""
-    from collections import deque
-
     ns = g.nodes()
-    src = ns[0]
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for (y, _q) in g.adjacency[x].values():
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return src, max(ns, key=lambda n: (dist[n], n))
+    dist = distances(g.adjacency, ns[0])
+    return ns[0], max(ns, key=lambda n: (dist[n], n))
 
 
 def rendezvous_start_pairs(g: FiniteGraph, max_k_star: int = 33) -> List[Tuple[NodeId, NodeId]]:

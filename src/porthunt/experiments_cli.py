@@ -34,6 +34,7 @@ from .rendezvous_engine import (
     RV_TRACE_HEADER,
     RvConfig,
     bound_time,
+    check_starts,
     run_urv,
     trans,
 )
@@ -128,6 +129,7 @@ def check_weight(graph_ref: str, src: str, dst: str, cap: int) -> ExperimentRepo
 def check_rv(graph_ref: str, start1: str, label1: int, start2: str, label2: int,
              delay: int, mode: str, max_rounds: int, cap: int,
              trace_path: Optional[str] = None) -> ExperimentReport:
+    check_starts((start1, label1), (start2, label2), delay)
     g = resolve_graph(graph_ref)
     _, k1 = critical_path(g, start1, start2, cap)
     _, k2 = critical_path(g, start2, start1, cap)
@@ -165,15 +167,20 @@ def check_lowerbound(i: int, max_steps: int = LOWERBOUND_MAX_STEPS) -> Experimen
 
 def check_sleeper(graph_ref: str, start1: str, label1: int, start2: str,
                   max_rounds: int, cap: int) -> ExperimentReport:
-    """Agent 2 never wakes up: the run must reduce to a hunt onto its node."""
+    """Agent 2 never wakes up: the run must reduce to a hunt onto its node.
+
+    Every tape segment ends with a 1-bit, so segment k walks the whole
+    critical path (index k) into the dormant node: the meeting comes within
+    the first n_hat = k * len(trans(label1)) bits."""
     g = resolve_graph(graph_ref)
-    oracle = character_weight(g, start1, start2, cap)
+    _, k = critical_path(g, start1, start2, cap)
+    n_hat = k * len(trans(label1))
+    bound = bound_time(n_hat)
     result = run_urv(g, (start1, label1), (start2, label1 + 1),
                      RvConfig(delay=max_rounds, max_rounds=max_rounds))
     instance = f"{graph_ref} ({start1},{label1}) -> dormant {start2}"
-    passed = result.met and result.meeting_node == start2
-    return ExperimentReport("sleeper", instance, result.meeting_round,
-                            oracle.weight, max_rounds, passed)
+    passed = result.met and result.meeting_node == start2 and result.meeting_round <= bound
+    return ExperimentReport("sleeper", instance, result.meeting_round, n_hat, bound, passed)
 
 
 # --- the check table: argparse, main and bench are all built from it ----------

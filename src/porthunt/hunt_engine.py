@@ -7,10 +7,10 @@ simulator (not the agent) recognizes arrival at the treasure node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .errors import StepBudgetExceeded, UnknownNode
+from .errors import StepBudgetExceeded
 from .path_algebra import (
     EnumMode,
     Path,
@@ -36,7 +36,6 @@ class Navigator:
         start: NodeId,
         treasure: Optional[NodeId] = None,
         max_steps: int = 10 ** 6,
-        on_visit: Optional[Callable[[NodeId, int], None]] = None,
     ):
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
@@ -44,7 +43,6 @@ class Navigator:
         self._graph = graph
         self._pos = start
         self._treasure = treasure
-        self._on_visit = on_visit
         self.max_steps = max_steps
         self.steps = 0
         self.at_treasure = start == treasure
@@ -58,8 +56,6 @@ class Navigator:
         self._pos, entry = self._graph.neighbor(self._pos, p)
         self.steps += 1
         self.at_treasure = self._pos == self._treasure
-        if self._on_visit is not None:
-            self._on_visit(self._pos, self.steps)
         return entry
 
     @property
@@ -86,14 +82,13 @@ class HuntConfig:
 def traverse(
     nav: Navigator,
     path: Path,
-    stop_at_treasure: bool = True,
     trace: Optional[Callable[[TraceRow], None]] = None,
     phase: Tuple[int, PathType] = (0, (0, 0)),
 ) -> TraverseOutcome:
     """Walk the maximal feasible prefix of path, then retrace back to base.
 
-    If stop_at_treasure and the walk enters the treasure node, the agent halts
-    there immediately.  Costs at most 2 * len(path) steps.
+    If the walk enters the treasure node, the agent halts there immediately.
+    Costs at most 2 * len(path) steps.
     """
     phase_value, (tm, td) = phase
     entries: List[int] = []
@@ -108,7 +103,7 @@ def traverse(
         entries.append(entry)
         if trace:
             trace((nav.steps, phase_value, tm, td, "move", p, "treasure" if nav.at_treasure else "ok"))
-        if stop_at_treasure and nav.at_treasure:
+        if nav.at_treasure:
             return TraverseOutcome(
                 feasible_prefix=path[:taken],
                 learned_reverse=tuple(reversed(entries)),
@@ -136,14 +131,13 @@ def run_paths_procedure(
     nav: Navigator,
     m: int,
     delta: int,
-    stop_at_treasure: bool = True,
     trace: Optional[Callable[[TraceRow], None]] = None,
 ) -> PathsOutcome:
     """Traverse every path of type (m, delta) in lexicographic order."""
     before = nav.steps
     phase = (value(m, delta), (m, delta))
     for path in paths_of_type(m, delta):
-        outcome = traverse(nav, path, stop_at_treasure, trace, phase)
+        outcome = traverse(nav, path, trace, phase)
         if outcome.treasure_hit is not None:
             return PathsOutcome(nav.steps - before, treasure_prefix=outcome.feasible_prefix)
     return PathsOutcome(nav.steps - before)
@@ -167,19 +161,20 @@ def run_uth(
     """Universal treasure hunt: sweep types in increasing value order until the
     treasure node is entered.  Raises StepBudgetExceeded if the cap runs out.
 
-    Without a trace sink the per-type sweep is compressed: paths sharing an
-    infeasible prefix are accounted in bulk, with step counts and the first
-    treasure entry identical to the path-by-path walk.
+    Without a trace sink the hunt is the first visit of {treasure} by the
+    compressed sweep; with one, the path-by-path Navigator agent renders
+    every step.  Both give the same steps, type and prefix.
     """
     cfg = cfg or HuntConfig()
     g.degree(treasure)  # raises UnknownNode for a bad treasure
     if base == treasure:
         return HuntResult(found=True, steps=0)
     if cfg.trace is None:
-        return _run_uth_fast(g, base, treasure, cfg)
+        steps, ptype, prefix = _first_visits(g, base, {treasure}, cfg.mode, cfg.max_steps)[treasure]
+        return HuntResult(True, steps, ptype, value(*ptype), prefix)
     nav = Navigator(g, base, treasure=treasure, max_steps=cfg.max_steps)
     for m, delta in types_in_order(cfg.mode):
-        outcome = run_paths_procedure(nav, m, delta, stop_at_treasure=True, trace=cfg.trace)
+        outcome = run_paths_procedure(nav, m, delta, cfg.trace)
         if outcome.treasure_prefix is not None:
             return HuntResult(
                 found=True,
@@ -191,33 +186,39 @@ def run_uth(
     raise AssertionError("unreachable")
 
 
+Visit = Tuple[int, PathType, Path]  # step, type and prefix of a first entry
+
+
 def _sweep_type_fast(
     g: PortGraph,
     base: NodeId,
-    treasure: NodeId,
+    targets: Set[NodeId],
     m: int,
     delta: int,
     steps_before: int,
-) -> Tuple[int, Optional[Path]]:
-    """Steps consumed by sweeping all paths of type (m, delta), or the hit.
+    visits: Dict[NodeId, Visit],
+) -> int:
+    """Sweep all paths of type (m, delta), recording first entries of targets.
 
     Walks the feasible prefix tree once, in lexicographic order.  Each path's
     cost is twice its maximal feasible prefix; paths cut off at the same
-    infeasible port are charged in bulk.  Returns (steps at first treasure
-    entry, hit prefix) if the treasure is entered, else (total steps, None);
-    both match the path-by-path agent exactly.
+    infeasible port are charged in bulk.  A target entered is recorded in
+    visits and removed from targets; once targets is empty the sweep stops
+    and returns the step of that last entry, else the steps after the whole
+    type.  Both match the path-by-path agent exactly.
     """
     pow_m = [m ** r for r in range(delta)]
     pow_m1 = [(m - 1) ** r for r in range(delta)]
     steps = steps_before
     path: List[int] = []
 
-    def dfs(pos: NodeId, depth: int, seen_max: bool) -> Optional[Path]:
+    def dfs(pos: NodeId, depth: int, seen_max: bool) -> bool:
+        """Sweep the subtree below the current prefix; True once targets is empty."""
         nonlocal steps
         remaining = delta - depth
         if remaining == 0:
             steps += 2 * delta
-            return None
+            return False
         low = m if (not seen_max and remaining == 1) else 1
         for q in range(low, m + 1):
             sub_seen = seen_max or q == m
@@ -229,35 +230,39 @@ def _sweep_type_fast(
                 continue
             nxt, _ = g.neighbor(pos, q)
             path.append(q)
-            if nxt == treasure:
-                steps += depth + 1  # partial forward walk of the current path
-                return tuple(path)
-            hit = dfs(nxt, depth + 1, sub_seen)
-            if hit is not None:
-                return hit
+            if nxt in targets:
+                # the first path with this prefix enters nxt on its forward walk
+                visits[nxt] = (steps + depth + 1, (m, delta), tuple(path))
+                targets.discard(nxt)
+                if not targets:
+                    steps += depth + 1
+                    return True
+            if dfs(nxt, depth + 1, sub_seen):
+                return True
             path.pop()
-        return None
+        return False
 
-    hit = dfs(base, 0, m == 1)
-    return steps, hit
+    dfs(base, 0, m == 1)
+    return steps
 
 
-def _run_uth_fast(g: PortGraph, base: NodeId, treasure: NodeId, cfg: HuntConfig) -> HuntResult:
+def _first_visits(
+    g: PortGraph, base: NodeId, targets: Set[NodeId], mode: EnumMode, max_steps: int
+) -> Dict[NodeId, Visit]:
+    """First entry of each target (a non-empty set without base, emptied here).
+
+    Sweeps types in order and stops right after the sweep that empties the
+    set.  Raises StepBudgetExceeded once a type ends with targets left beyond
+    max_steps, or a first entry lies beyond it.
+    """
+    visits: Dict[NodeId, Visit] = {}
     steps = 0
-    for m, delta in types_in_order(cfg.mode):
-        steps, hit = _sweep_type_fast(g, base, treasure, m, delta, steps)
-        if steps > cfg.max_steps and hit is None:
-            raise StepBudgetExceeded(f"step budget {cfg.max_steps} exhausted")
-        if hit is not None:
-            if steps > cfg.max_steps:
-                raise StepBudgetExceeded(f"step budget {cfg.max_steps} exhausted")
-            return HuntResult(
-                found=True,
-                steps=steps,
-                found_type=(m, delta),
-                found_phase_value=value(m, delta),
-                visit_prefix=hit,
-            )
+    for m, delta in types_in_order(mode):
+        steps = _sweep_type_fast(g, base, targets, m, delta, steps, visits)
+        if steps > max_steps:
+            raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
+        if not targets:
+            return visits
     raise AssertionError("unreachable")
 
 
@@ -270,26 +275,14 @@ def first_visit_times(
 ) -> Dict[NodeId, int]:
     """Step count at the first visit of each target node during a hunt sweep.
 
-    Runs the same deterministic sweep as run_uth (with no treasure halting)
-    until every target has been visited; the placement of an inert treasure
-    does not alter the sweep before its first visit.
+    The sweep does not depend on the treasure before its first entry, so
+    each visit is the step at which run_uth would find that target, under the
+    same budget rule.
     """
-    remaining: Set[NodeId] = set(targets)
-    visits: Dict[NodeId, int] = {}
-    if base in remaining:
-        remaining.discard(base)
-        visits[base] = 0
-    if not remaining:
-        return visits
-
-    def note(node: NodeId, steps: int) -> None:
-        if node in remaining:
-            remaining.discard(node)
-            visits[node] = steps
-
-    nav = Navigator(g, base, max_steps=max_steps, on_visit=note)
-    for m, delta in types_in_order(mode):
-        run_paths_procedure(nav, m, delta, stop_at_treasure=False)
-        if not remaining:
-            return visits
-    raise AssertionError("unreachable")
+    remaining = set(targets)
+    visits = {base: 0} if base in remaining else {}
+    remaining.discard(base)
+    if remaining:
+        found = _first_visits(g, base, remaining, mode, max_steps)
+        visits.update((v, steps) for v, (steps, _, _) in found.items())
+    return visits

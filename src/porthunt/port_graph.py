@@ -155,25 +155,26 @@ def build_finite(spec: FiniteGraphSpec) -> FiniteGraph:
     if not adj:
         raise ParseError("empty graph")
     for v, ports in adj.items():
-        if set(ports) != set(range(1, len(ports) + 1)):
-            raise InvalidPorts(f"ports at node {v!r} are not exactly 1..deg: {sorted(ports)}")
-    _check_connected(adj)
+        if not ports or set(ports) != set(range(1, len(ports) + 1)):
+            raise InvalidPorts(f"ports at node {v!r} are not exactly 1..deg with deg >= 1: "
+                               f"{sorted(ports)}")
+    seen = distances(adj, next(iter(adj)))
+    if len(seen) != len(adj):
+        raise Disconnected(f"unreachable nodes: {sorted(set(adj) - set(seen))}")
     return FiniteGraph(adj)
 
 
-def _check_connected(adj: Dict[NodeId, Dict[int, Tuple[NodeId, int]]]) -> None:
-    start = next(iter(adj))
-    seen = {start}
-    queue = deque([start])
+def distances(adj: Dict[NodeId, Dict[int, Tuple[NodeId, int]]], src: NodeId) -> Dict[NodeId, int]:
+    """Edge count of a shortest path from src to every node it reaches (BFS)."""
+    dist = {src: 0}
+    queue = deque([src])
     while queue:
         v = queue.popleft()
         for (u, _q) in adj[v].values():
-            if u not in seen:
-                seen.add(u)
+            if u not in dist:
+                dist[u] = dist[v] + 1
                 queue.append(u)
-    if len(seen) != len(adj):
-        missing = sorted(set(adj) - seen)
-        raise Disconnected(f"unreachable nodes: {missing}")
+    return dist
 
 
 def from_text(text: str) -> FiniteGraph:
@@ -284,14 +285,6 @@ class TreeRegular(_LazyTree):
 
     def _child_cap(self, is_root: bool) -> Optional[int]:
         return self.d if is_root else self.d - 1
-
-    def _valid_address(self, addr: Tuple[int, ...]) -> bool:
-        if not super()._valid_address(addr):
-            return False
-        # d = 1: the root's single child has no children of its own
-        if self.d == 1 and len(addr) > 1:
-            return False
-        return True
 
 
 def truncated_tree_omega(depth: int, max_port: int) -> FiniteGraph:
@@ -417,26 +410,17 @@ def tree_node(*indices: int) -> NodeId:
 
 # --- validation ---------------------------------------------------------------
 
-@dataclass
-class ValidationReport:
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def validate(
     g: PortGraph,
     sample_nodes: Optional[Iterable[NodeId]] = None,
     port_cap: Optional[int] = None,
-) -> ValidationReport:
-    """Check involution and entry-port validity; violations are reported, not raised.
+) -> List[str]:
+    """Check involution and entry-port validity; returns the violations found.
 
     Finite graphs are checked exhaustively.  Infinite graphs need an explicit
     sampling budget: a node sample and a port cap.
     """
-    report = ValidationReport()
+    violations: List[str] = []
     nodes = g.nodes()
     if nodes is None:
         if sample_nodes is None or port_cap is None:
@@ -451,17 +435,17 @@ def validate(
             try:
                 u, q = g.neighbor(v, p)
             except NoSuchPort:
-                report.violations.append(f"port {p} missing at {v!r} (degree says it exists)")
+                violations.append(f"port {p} missing at {v!r} (degree says it exists)")
                 continue
             if not g.degree(u).has_port(q):
-                report.violations.append(f"entry port {q} invalid at {u!r} (from {v!r}:{p})")
+                violations.append(f"entry port {q} invalid at {u!r} (from {v!r}:{p})")
                 continue
             back = g.neighbor(u, q)
             if back != (v, p):
-                report.violations.append(
+                violations.append(
                     f"involution broken: neighbor({v!r},{p})=({u!r},{q}) but neighbor({u!r},{q})={back}"
                 )
-    return report
+    return violations
 
 
 class RelabeledGraph(PortGraph):

@@ -156,6 +156,16 @@ class RvResult:
     meeting_node: Optional[NodeId] = None
 
 
+def check_starts(start1: Tuple[NodeId, int], start2: Tuple[NodeId, int], delay: int) -> None:
+    """run_urv's preconditions: distinct start nodes, distinct labels, delay >= 0."""
+    if start1[0] == start2[0]:
+        raise PreconditionError("agents must start at distinct nodes")
+    if start1[1] == start2[1]:
+        raise PreconditionError("agents must have distinct labels")
+    if delay < 0:
+        raise PreconditionError("delay must be >= 0; swap the agents instead")
+
+
 def run_urv(
     g: PortGraph,
     start1: Tuple[NodeId, int],
@@ -169,13 +179,8 @@ def run_urv(
     cfg.max_rounds.
     """
     cfg = cfg or RvConfig()
+    check_starts(start1, start2, cfg.delay)
     (v1, l1), (v2, l2) = start1, start2
-    if v1 == v2:
-        raise PreconditionError("agents must start at distinct nodes")
-    if l1 == l2:
-        raise PreconditionError("agents must have distinct labels")
-    if cfg.delay < 0:
-        raise PreconditionError("delay must be >= 0; swap the agents instead")
     g.degree(v1)
     g.degree(v2)
     if cfg.trace is not None:

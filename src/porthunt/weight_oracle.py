@@ -7,9 +7,8 @@ Every search takes an explicit value cap and fails loudly when it is hit.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import CapExceeded, PreconditionError
 from .path_algebra import (
@@ -20,7 +19,7 @@ from .path_algebra import (
     types_in_order,
     value,
 )
-from .port_graph import FiniteGraph, NodeId, PortGraph
+from .port_graph import FiniteGraph, NodeId, PortGraph, distances
 
 DEFAULT_CAP = 10 ** 6
 
@@ -130,14 +129,7 @@ def bp_lex_shortest_path(g: FiniteGraph, v1: NodeId, v2: NodeId) -> Path:
     """
     if v1 == v2:
         return ()
-    dist: Dict[NodeId, int] = {v2: 0}
-    queue = deque([v2])
-    while queue:
-        x = queue.popleft()
-        for (y, _q) in g.adjacency[x].values():
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
+    dist = distances(g.adjacency, v2)
     if v1 not in dist:
         raise PreconditionError(f"{v2!r} unreachable from {v1!r}")
     ports = []

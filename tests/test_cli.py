@@ -127,6 +127,14 @@ def test_sleeper_command(capsys):
     assert "result=pass" in capsys.readouterr().out
 
 
+def test_sleeper_bound_comes_from_its_oracle(capsys):
+    # critical path index 3 times a tape block of 8 bits: n_hat = 24 bits
+    assert main(["sleeper", "--graph", "ring:4", "--start1", "0",
+                 "--label1", "3", "--start2", "2"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "measured=6329" in out and "oracle=24" in out and "bound=14700" in out
+
+
 def test_hunt_trace_file_is_deterministic(tmp_path, graph_file):
     t1, t2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     for t in (t1, t2):
@@ -258,8 +266,11 @@ _HUNT = ["hunt", "--graph", "two_node", "--base", "u", "--treasure", "v"]
     ["lowerbound", "--i", "1", "--max-steps", "0"],
     ["bench", "--suite", "{tmp}/missing.json"],
     ["hunt", "--graph", "{tmp}", "--base", "u", "--treasure", "v"],
+    ["rv", "--graph", "ring:9", "--start1", "0", "--label1", "3",
+     "--start2", "4", "--label2", "3", "--cap", "10"],
 ], ids=["graph-params", "rv-label", "sleeper-label", "max-steps", "max-steps-traced",
-        "trace-path", "unknown-node", "lowerbound-steps", "suite-path", "graph-dir"])
+        "trace-path", "unknown-node", "lowerbound-steps", "suite-path", "graph-dir",
+        "rv-same-label-small-cap"])
 def test_bad_input_exits_2_without_traceback(tmp_path, args):
     proc = _run_cli(*[a.format(tmp=tmp_path) for a in args])
     assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
@@ -272,3 +283,17 @@ def test_bench_empty_suite_is_ok(tmp_path):
     out = str(tmp_path / "report.csv")
     assert main(["bench", "--suite", suite, "--out", out]) == EXIT_OK
     assert len(list(csv.reader(open(out)))) == 1
+
+
+def test_node_without_ports_is_bad_input(tmp_path):
+    graph = tmp_path / "lonely.graph"
+    graph.write_text("node a\n")
+    proc = _run_cli("hunt", "--graph", str(graph), "--base", "a", "--treasure", "a")
+    assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    good = {"kind": "hunt", "graph": "two_node", "base": "u", "treasure": "v"}
+    suite = _write_suite(tmp_path, [dict(good, graph=str(graph), base="a", treasure="a"), good])
+    out = str(tmp_path / "report.csv")
+    assert main(["bench", "--suite", suite, "--out", out]) == EXIT_FAIL
+    rows = list(csv.reader(open(out)))[1:]
+    assert [(r[2], r[-1]) for r in rows] == [("InvalidPorts", "fail"), ("1", "pass")]

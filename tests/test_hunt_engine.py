@@ -59,7 +59,7 @@ def test_navigator_rejects_bad_start_and_budget():
 def test_traverse_backs_off_at_first_missing_port():
     g = from_text(CHAIN_TEXT)
     nav = Navigator(g, "u")
-    out = traverse(nav, (5, 2, 3, 5, 4, 1), stop_at_treasure=False)
+    out = traverse(nav, (5, 2, 3, 5, 4, 1))
     assert out.feasible_prefix == (5, 2, 3)  # c has degree 3, port 5 missing
     assert out.learned_reverse == (1, 1, 1)
     assert out.steps_used == 6  # 3 forward + 3 back
@@ -76,20 +76,11 @@ def test_traverse_halts_on_treasure_entry():
     assert nav.position == "v"  # the agent stays at the treasure
 
 
-def test_traverse_ignores_treasure_when_sweeping():
-    g = path3_graph()
-    nav = Navigator(g, "u", treasure="v")
-    out = traverse(nav, (1, 2), stop_at_treasure=False)
-    assert out.treasure_hit is None
-    assert out.steps_used == 4
-    assert nav.position == "u"
-
-
 def test_run_paths_two_node_type_2_2():
     # (1,2): one move, port 2 missing at v, one move back -> 2 steps;
     # (2,1) and (2,2) fail their first probe -> 0 steps each
     nav = Navigator(two_node(), "u")
-    out = run_paths_procedure(nav, 2, 2, stop_at_treasure=False)
+    out = run_paths_procedure(nav, 2, 2)
     assert out.steps_used == 2
     assert out.treasure_prefix is None
 
@@ -211,3 +202,27 @@ def test_first_visit_times_consistent_with_hunts():
     visits = first_visit_times(g, "0", targets)
     for t in targets:
         assert visits[t] == run_uth(g, "0", t).steps
+
+
+def _raises(fn, *args):
+    try:
+        fn(*args)
+    except StepBudgetExceeded:
+        return True
+    return False
+
+
+def test_first_visit_times_budget_matches_the_hunt():
+    g = builtin("ring", [5])
+    targets = ["1", "2", "3", "4"]
+    # the budget ends at the last first visit, not at the end of its type
+    assert first_visit_times(g, "0", targets, max_steps=11) == {"1": 1, "4": 3, "2": 6, "3": 11}
+    with pytest.raises(StepBudgetExceeded):
+        first_visit_times(g, "0", targets, max_steps=10)
+    for g in [g, path3_graph()] + hunt_battery(count=4):
+        ns = sorted(g.nodes())
+        for t in ns[1:]:
+            s_t = run_uth(g, ns[0], t).steps
+            for M in (s_t - 1, s_t):
+                assert _raises(first_visit_times, g, ns[0], [t], EnumMode.FIXED, M) == \
+                    _raises(run_uth, g, ns[0], t, HuntConfig(max_steps=M))

@@ -16,6 +16,7 @@ from porthunt.errors import (
 )
 from porthunt.port_graph import (
     Degree,
+    FiniteGraph,
     RelabeledGraph,
     TreeOmega,
     TreeRegular,
@@ -70,12 +71,33 @@ def test_build_rejects_disconnected():
         from_text("edge a 1 b 1\nedge c 1 d 1")
 
 
+@pytest.mark.parametrize("text", ["node a", "node a\nedge u 1 v 1"])
+def test_build_rejects_node_without_ports(text):
+    with pytest.raises(InvalidPorts):
+        from_text(text)
+
+
+def test_validate_reports_each_violation():
+    g = FiniteGraph({
+        "u": {1: ("v", 1), 3: ("v", 2)},  # degree 2 without port 2; u:1 -> v:1 -/-> u
+        "v": {1: ("w", 1), 2: ("u", 3)},  # u has no port 3
+        "w": {1: ("v", 9)},  # v has no port 9
+    })
+    assert validate(g) == [
+        "involution broken: neighbor('u',1)=('v',1) but neighbor('v',1)=('w', 1)",
+        "port 2 missing at 'u' (degree says it exists)",
+        "involution broken: neighbor('v',1)=('w',1) but neighbor('w',1)=('v', 9)",
+        "entry port 3 invalid at 'u' (from 'v':2)",
+        "entry port 9 invalid at 'v' (from 'w':1)",
+    ]
+
+
 def test_self_loop_occupies_two_ports():
     g = from_text("edge u 1 v 1\nedge v 2 v 3")
     assert g.degree("v").d == 3
     assert g.neighbor("v", 2) == ("v", 3)
     assert g.neighbor("v", 3) == ("v", 2)
-    assert validate(g).ok
+    assert not validate(g)
 
 
 def test_degree_contract():
@@ -100,7 +122,7 @@ def test_two_node_family():
     g = builtin("two_node")
     assert g.neighbor("u", 1) == ("v", 1)
     assert g.neighbor("v", 1) == ("u", 1)
-    assert validate(g).ok
+    assert not validate(g)
 
 
 def test_ring_family():
@@ -111,7 +133,7 @@ def test_ring_family():
         pos, entry = g.neighbor(pos, 1)
         assert entry == 2
     assert pos == "0"
-    assert validate(g).ok
+    assert not validate(g)
     with pytest.raises(BadParams):
         builtin("ring", [2])
 
@@ -119,14 +141,14 @@ def test_ring_family():
 def test_complete_family():
     g = builtin("complete", [4])
     assert all(g.degree(v).d == 3 for v in g.nodes())
-    assert validate(g).ok
+    assert not validate(g)
 
 
 def test_random_tree_family_deterministic():
     g1 = builtin("random_tree", [8, 42])
     g2 = builtin("random_tree", [8, 42])
     assert g1.adjacency == g2.adjacency
-    assert validate(g1).ok
+    assert not validate(g1)
     assert builtin("random_tree", [8, 43]).adjacency != g1.adjacency
 
 
@@ -153,7 +175,7 @@ def test_tree_omega_navigation():
 def test_tree_omega_involution_sampled():
     g = TreeOmega()
     sample = [tree_node(), tree_node(3), tree_node(3, 5), tree_node(100, 1, 2)]
-    assert validate(g, sample_nodes=sample, port_cap=50).ok
+    assert not validate(g, sample_nodes=sample, port_cap=50)
 
 
 def test_tree_omega_rejects_malformed_addresses():
@@ -170,8 +192,10 @@ def test_tree_regular():
     assert g.neighbor(tree_node(2), 3) == (tree_node(2, 2), 1)
     assert not g.contains(tree_node(4))  # root has only 3 children
     assert not g.contains(tree_node(1, 3))  # non-root nodes have 2 children
-    assert validate(g, sample_nodes=[tree_node(), tree_node(1), tree_node(1, 1)],
-                    port_cap=3).ok
+    assert not TreeRegular(1).contains(tree_node(1, 1))  # d = 1: a single edge
+    assert TreeRegular(1).degree(tree_node(1)).d == 1
+    assert not validate(g, sample_nodes=[tree_node(), tree_node(1), tree_node(1, 1)],
+                        port_cap=3)
 
 
 def test_lazy_tree_materializes_only_touched_nodes():
@@ -186,8 +210,7 @@ def test_lazy_tree_materializes_only_touched_nodes():
 
 def test_truncated_tree_omega_shape():
     g = truncated_tree_omega(3, 20)
-    report = validate(g)
-    assert report.ok
+    assert not validate(g)
     assert g.degree(tree_node()).d == 20
     assert g.degree(tree_node(1)).d == 20
     assert g.degree(tree_node(1, 1, 1)).d == 1  # leaf at the depth cap
@@ -210,7 +233,7 @@ def test_truncated_tree_matches_infinite_tree_locally():
 @given(st.integers(0, 10 ** 6))
 def test_random_battery_graphs_validate(seed):
     g = random_port_graph(random.Random(seed))
-    assert validate(g).ok
+    assert not validate(g)
     assert len(g.nodes()) >= 2
 
 
@@ -218,7 +241,7 @@ def test_relabeled_graph_is_same_structure():
     g = builtin("ring", [4])
     mapping = {v: f"n{v}" for v in g.nodes()}
     rg = RelabeledGraph(g, mapping)
-    assert validate(rg).ok
+    assert not validate(rg)
     assert rg.neighbor("n0", 1) == ("n1", 2)
     with pytest.raises(UnknownNode):
         rg.degree("0")
