@@ -15,16 +15,23 @@ from .path_algebra import (
     EnumMode,
     Path,
     PathType,
+    last_x_by_length,
     paths_of_type,
+    sweep_bound,
     types_in_order,
     value,
 )
-from .port_graph import NodeId, PortGraph
+from .port_graph import NodeId, PortGraph, max_degree
 
 TraceRow = Tuple[int, int, int, int, str, int, str]
 # step, phase_value, type_m, type_delta, action, port, result
 
 TRACE_HEADER = ("step", "phase_value", "type_m", "type_delta", "action", "port", "result")
+
+
+def _check_budget(max_steps: int) -> None:
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
 
 
 class Navigator:
@@ -37,8 +44,7 @@ class Navigator:
         treasure: Optional[NodeId] = None,
         max_steps: int = 10 ** 6,
     ):
-        if max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        _check_budget(max_steps)
         graph.degree(start)  # raises UnknownNode for a bad start
         self._graph = graph
         self._pos = start
@@ -166,6 +172,7 @@ def run_uth(
     every step.  Both give the same steps, type and prefix.
     """
     cfg = cfg or HuntConfig()
+    _check_budget(cfg.max_steps)
     g.degree(treasure)  # raises UnknownNode for a bad treasure
     if base == treasure:
         return HuntResult(found=True, steps=0)
@@ -246,18 +253,55 @@ def _sweep_type_fast(
     return steps
 
 
+class _SkippedTypes:
+    """Hunt cost of the types whose max port exceeds delta, charged in runs of x:
+    type (x, y) costs 2 * sum_{d=1}^{y-1} N_d * (x**(y-d) - (x-1)**(y-d)), with
+    N_d the feasible port walks of length d from base; a run telescopes."""
+
+    def __init__(self, g: PortGraph, base: NodeId, delta: int):
+        self._g, self._delta = g, delta
+        self._layer, self._walks = {base: 1}, [1]  # walks of the last length by end; N_d
+        self._charged: Dict[int, int] = {}  # length -> largest x charged
+
+    def run_cost(self, y: int, a: int, b: int) -> int:
+        """Steps of the sweeps of types (a+1, y) .. (b, y), for a >= delta."""
+        while len(self._walks) < y:
+            nxt: Dict[NodeId, int] = {}
+            for v, n in self._layer.items():
+                for p in range(1, self._g.degree(v).d + 1):
+                    u, _ = self._g.neighbor(v, p)
+                    nxt[u] = nxt.get(u, 0) + n
+            self._layer = nxt
+            self._walks.append(sum(nxt.values()))
+        return 2 * sum(self._walks[d] * (b ** (y - d) - a ** (y - d)) for d in range(1, y))
+
+    def before(self, t: PathType) -> int:
+        """Steps of the skipped types before t not charged yet."""
+        cost = 0
+        for y, b in last_x_by_length(t, self._delta + 1):
+            a = self._charged.get(y, self._delta)
+            if b > a:
+                cost += self.run_cost(y, a, b)
+                self._charged[y] = b
+        return cost
+
+
 def _first_visits(
     g: PortGraph, base: NodeId, targets: Set[NodeId], mode: EnumMode, max_steps: int
 ) -> Dict[NodeId, Visit]:
     """First entry of each target (a non-empty set without base, emptied here).
 
-    Sweeps types in order and stops right after the sweep that empties the
-    set.  Raises StepBudgetExceeded once a type ends with targets left beyond
-    max_steps, or a first entry lies beyond it.
+    Sweeps the types with max port at most the max degree in order, charges
+    the others (no first entry) in closed form, and stops right after the sweep
+    that empties the set.  Raises StepBudgetExceeded once a type ends with
+    targets left beyond max_steps, or a first entry lies beyond it.
     """
     visits: Dict[NodeId, Visit] = {}
     steps = 0
-    for m, delta in types_in_order(mode):
+    bound = sweep_bound(max_degree(g), mode)
+    skipped = None if bound is None else _SkippedTypes(g, base, bound)
+    for m, delta in types_in_order(mode, bound):
+        steps += skipped.before((m, delta)) if skipped else 0
         steps = _sweep_type_fast(g, base, targets, m, delta, steps, visits)
         if steps > max_steps:
             raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
@@ -279,6 +323,7 @@ def first_visit_times(
     each visit is the step at which run_uth would find that target, under the
     same budget rule.
     """
+    _check_budget(max_steps)
     remaining = set(targets)
     visits = {base: 0} if base in remaining else {}
     remaining.discard(base)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from enum import Enum
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import NotEnumerated
 
@@ -25,6 +25,9 @@ PathType = Tuple[int, int]  # (max port, length)
 class EnumMode(Enum):
     STRICT = "strict"
     FIXED = "fixed"
+
+
+_LEAST_PORT = {EnumMode.FIXED: 1, EnumMode.STRICT: 2}  # STRICT skips the all-ones types
 
 
 def value(x: int, y: int) -> int:
@@ -60,7 +63,7 @@ def phase_types(j: int, mode: EnumMode = EnumMode.FIXED) -> List[PathType]:
     """
     if j < 2:
         raise ValueError("phases start at j = 2")
-    min_x = 1 if mode is EnumMode.FIXED else 2
+    min_x = _LEAST_PORT[mode]
     out = []
     y = 1
     while y * (1 << y) <= j:
@@ -75,22 +78,53 @@ def phase_types(j: int, mode: EnumMode = EnumMode.FIXED) -> List[PathType]:
     return out
 
 
-def types_in_order(mode: EnumMode = EnumMode.FIXED) -> Iterator[PathType]:
+def types_in_order(
+    mode: EnumMode = EnumMode.FIXED, max_port: Optional[int] = None
+) -> Iterator[PathType]:
     """All types in increasing (value, lex) order, one per yield, never ending.
 
     Priority-queue merge of the per-length streams; emits exactly the order of
     the phase loop (j = 2, 3, ... with lex-sorted types inside each phase).
+    With max_port, each stream ends at x = max_port: the subsequence of types
+    whose max port is at most max_port.
     """
-    x0 = 1 if mode is EnumMode.FIXED else 2
+    x0 = _LEAST_PORT[mode]
+    if max_port is not None and max_port < x0:
+        raise ValueError(f"no type of mode {mode.value} has max port <= {max_port}")
     heap = [(value(x0, 1), x0, 1)]
     next_y = 2
     while True:
-        while value(x0, next_y) <= heap[0][0]:
+        while not heap or value(x0, next_y) <= heap[0][0]:
             heapq.heappush(heap, (value(x0, next_y), x0, next_y))
             next_y += 1
         _, x, y = heapq.heappop(heap)
-        heapq.heappush(heap, (value(x + 1, y), x + 1, y))
+        if max_port is None or x < max_port:
+            heapq.heappush(heap, (value(x + 1, y), x + 1, y))
         yield (x, y)
+
+
+def sweep_bound(max_degree: Optional[int], mode: EnumMode) -> Optional[int]:
+    """Largest max port a sweep must visit at that max degree; None visits all.
+    A prefix entering a node within a type of larger max port is itself (in
+    STRICT mode, followed by port 2) a path of a smaller type; STRICT mode at
+    degree 1 has no type without port 2."""
+    return None if max_degree is None or max_degree < _LEAST_PORT[mode] else max_degree
+
+
+def last_x_by_length(t: PathType, x_min: int) -> Iterator[Tuple[int, int]]:
+    """(y, X_y(t)) for each length y whose type (x_min, y) precedes t, where
+    X_y(t) is the largest x with (value(x, y), x, y) < (value(t), t)."""
+    v, y = value(*t), 1
+    while (value(x_min, y), x_min, y) < (v,) + t:
+        x = _iroot(v // (y << y), y)
+        yield y, x - 1 if value(x, y) == v and (x, y) >= t else x
+        y += 1
+
+
+def paths_before(t: PathType, mode: EnumMode = EnumMode.FIXED) -> int:
+    """Number of paths of the types before t; per length y their counts telescope."""
+    x0 = _LEAST_PORT[mode]
+    return sum(x ** y - (x0 - 1) ** y for y, x in last_x_by_length(t, x0))
 
 
 def count_of_type(m: int, delta: int) -> int:
@@ -161,13 +195,8 @@ def _rank_in_type(path: Path) -> int:
 
 
 def index_of_path(path: Path, mode: EnumMode = EnumMode.FIXED) -> int:
-    """1-based position of a path in global_paths(mode), computed by counting."""
+    """1-based position of a path in global_paths(mode), in closed form."""
     m, delta = type_of(path)
     if mode is EnumMode.STRICT and m == 1:
         raise NotEnumerated(f"all-ones path {path} is never enumerated in STRICT mode")
-    total = 0
-    for t in types_in_order(mode):
-        if t == (m, delta):
-            return total + _rank_in_type(path)
-        total += count_of_type(*t)
-    raise AssertionError("unreachable")
+    return paths_before((m, delta), mode) + _rank_in_type(path)

@@ -69,6 +69,12 @@ class PortGraph:
             return False
 
 
+def max_degree(g: PortGraph) -> Optional[int]:
+    """Largest degree over g.nodes(); None for an infinite graph or an infinite degree."""
+    degrees = [g.degree(v).d for v in g.nodes() or ()]
+    return None if not degrees or None in degrees else max(degrees)
+
+
 class FiniteGraph(PortGraph):
     """Finite port graph backed by an adjacency dict (node -> port -> (node, port))."""
 

@@ -15,11 +15,12 @@ from .path_algebra import (
     EnumMode,
     Path,
     PathType,
-    count_of_type,
+    paths_before,
+    sweep_bound,
     types_in_order,
     value,
 )
-from .port_graph import FiniteGraph, NodeId, PortGraph, distances
+from .port_graph import FiniteGraph, NodeId, PortGraph, distances, max_degree
 
 DEFAULT_CAP = 10 ** 6
 
@@ -77,16 +78,15 @@ def _first_connecting(
 ) -> Tuple[Path, int, PathType, int]:
     """First full u -> v path in the global order, with its index, type and value."""
     g.degree(v)  # an unknown target raises UnknownNode here instead of CapExceeded at the cap
-    index = 0
-    for m, delta in types_in_order(mode):
+    # only types with max port at most the max degree hold a full path
+    for m, delta in types_in_order(mode, sweep_bound(max_degree(g), mode)):
         val = value(m, delta)
         if val > cap:
             raise CapExceeded(f"no path {u!r} -> {v!r} of value <= {cap}")
         found = _search_type(g, u, v, m, delta)
         if found is not None:
             path, rank = found
-            return path, index + rank, (m, delta), val
-        index += count_of_type(m, delta)
+            return path, paths_before((m, delta), mode) + rank, (m, delta), val
     raise AssertionError("unreachable")
 
 

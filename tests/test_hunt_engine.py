@@ -205,11 +205,12 @@ def test_first_visit_times_consistent_with_hunts():
 
 
 def _raises(fn, *args):
+    """The budget error fn raises (a budget below 1 is a ValueError), or None."""
     try:
         fn(*args)
-    except StepBudgetExceeded:
-        return True
-    return False
+    except (StepBudgetExceeded, ValueError) as exc:
+        return type(exc)
+    return None
 
 
 def test_first_visit_times_budget_matches_the_hunt():
@@ -226,3 +227,18 @@ def test_first_visit_times_budget_matches_the_hunt():
             for M in (s_t - 1, s_t):
                 assert _raises(first_visit_times, g, ns[0], [t], EnumMode.FIXED, M) == \
                     _raises(run_uth, g, ns[0], t, HuntConfig(max_steps=M))
+
+
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_budget_below_one_is_rejected_on_every_path(max_steps):
+    g = two_node()
+    with pytest.raises(ValueError, match="max_steps must be >= 1"):
+        run_uth(g, "u", "v", HuntConfig(max_steps=max_steps))
+    with pytest.raises(ValueError, match="max_steps must be >= 1"):
+        run_uth(g, "u", "v", HuntConfig(max_steps=max_steps, trace=lambda row: None))
+    with pytest.raises(ValueError, match="max_steps must be >= 1"):
+        run_uth(g, "u", "u", HuntConfig(max_steps=max_steps))
+    with pytest.raises(ValueError, match="max_steps must be >= 1"):
+        first_visit_times(g, "u", ["v"], max_steps=max_steps)
+    with pytest.raises(ValueError, match="max_steps must be >= 1"):
+        first_visit_times(g, "u", ["u"], max_steps=max_steps)
