@@ -61,6 +61,10 @@ class PortGraph:
         """Full node list for finite graphs, None for infinite generators."""
         return None
 
+    def degree_bound(self) -> Optional[int]:
+        """Largest degree of an infinite graph, None if unbounded."""
+        return None
+
     def contains(self, v: NodeId) -> bool:
         try:
             self.degree(v)
@@ -70,8 +74,12 @@ class PortGraph:
 
 
 def max_degree(g: PortGraph) -> Optional[int]:
-    """Largest degree over g.nodes(); None for an infinite graph or an infinite degree."""
-    degrees = [g.degree(v).d for v in g.nodes() or ()]
+    """Largest degree over g.nodes(), or g.degree_bound() for an infinite
+    graph; None for an infinite or unbounded degree."""
+    nodes = g.nodes()
+    if nodes is None:
+        return g.degree_bound()
+    degrees = [g.degree(v).d for v in nodes]
     return None if not degrees or None in degrees else max(degrees)
 
 
@@ -227,6 +235,10 @@ class _LazyTree(PortGraph):
     def _child_cap(self, is_root: bool) -> Optional[int]:
         """Max child index at a node, None for unbounded."""
         raise NotImplementedError
+
+    def degree_bound(self) -> Optional[int]:
+        root, other = self._child_cap(is_root=True), self._child_cap(is_root=False)
+        return None if root is None or other is None else max(root, other + 1)
 
     def _degree_of(self, addr: Tuple[int, ...]) -> Degree:
         cap = self._child_cap(is_root=not addr)
@@ -480,3 +492,6 @@ class RelabeledGraph(PortGraph):
     def nodes(self) -> Optional[List[NodeId]]:
         ns = self._base.nodes()
         return None if ns is None else [self._fwd[v] for v in ns]
+
+    def degree_bound(self) -> Optional[int]:
+        return self._base.degree_bound()

@@ -10,13 +10,15 @@ The simulator is synchronous.  Meetings are detected at round boundaries only;
 agents crossing the same edge in opposite directions do not meet.  A dormant
 (not yet woken) agent sits at its start node and can be met there.  Both
 simulators consume the move events of ``_move_events``: the fast loop jumps
-between them, the traced one renders every round.
+between them, the traced one renders every round.  All 1-bits of a segment
+walk the same path, so the walker walks it once per segment and replays the
+walk at each 1-bit; 0-bits and segments that cannot leave home cost nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import count, repeat
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from .errors import NegativeWait, PreconditionError, RoundBudgetExceeded
@@ -32,21 +34,20 @@ RV_TRACE_HEADER = (
 )
 
 
-def trans(label: int) -> Tuple[int, ...]:
-    """Self-delimiting bit block of a label: each binary digit doubled, then 01."""
+def _digits(label: int) -> str:
+    """Binary digits of a label, most significant first."""
     if label < 1:
         raise ValueError("labels are positive integers")
+    return bin(label)[2:]
+
+
+def trans(label: int) -> Tuple[int, ...]:
+    """Self-delimiting bit block of a label: each binary digit doubled, then 01."""
     bits: List[int] = []
-    for ch in bin(label)[2:]:
+    for ch in _digits(label):
         b = int(ch)
         bits += [b, b]
     return tuple(bits) + (0, 1)
-
-
-def tape_bit(label: int, i: int) -> int:
-    """i-th bit (1-based) of the infinite periodic tape of a label."""
-    seg = trans(label)
-    return seg[(i - 1) % len(seg)]
 
 
 def alloc(i: int) -> int:
@@ -86,40 +87,49 @@ def _move_events(
     """The only bit walker: the rounds where the agent changes position, as
     (local round, new node, port taken).
 
-    A 1-bit in segment j walks the maximal feasible prefix of the j-th global
-    path, waits, and walks back through the learned entry ports; a 0-bit
-    waits.  Waits are skipped in O(1); positions are constant between yields.
+    Every 1-bit of segment j walks the maximal feasible prefix of the j-th
+    global path, waits, and walks back through the learned entry ports, so
+    the walk is made once per segment and replayed at each 1-bit, which
+    starts at round bound_time(i-1).  0-bits, and segments whose path has no
+    first port at home, yield nothing and cost nothing; positions are
+    constant between yields.
     """
-    seg = trans(label)
-    s = len(seg)
+    digits = _digits(label)
+    s = 2 * len(digits) + 2
+    # 0-based offsets of the 1-bits of trans(label): both copies of each 1, then the delimiter's
+    ones = [k for t, ch in enumerate(digits) if ch == "1" for k in (2 * t, 2 * t + 1)]
+    ones.append(s - 1)
     book = book or PathBook(mode)
-    pos = home
-    r = 0
-    i = 0
-    while True:
-        i += 1
-        bit = seg[(i - 1) % s]
-        duration = alloc(i)
-        if bit == 0:
-            r += duration
+    home_degree = g.degree(home)
+    for j in count(1):
+        path = book.get(j)
+        if not home_degree.has_port(path[0]):
             continue
-        path = book.get((i - 1) // s + 1)
-        entries: List[int] = []
-        for p in path:
+        pos, q = g.neighbor(home, path[0])
+        forward = [(1, pos, path[0])]
+        entries = [q]
+        for p in path[1:]:
             if not g.degree(pos).has_port(p):
                 break
             pos, q = g.neighbor(pos, p)
+            forward.append((len(forward) + 1, pos, p))
             entries.append(q)
-            r += 1
-            yield (r, pos, p)
-        pad = duration - 2 * len(entries)
-        if pad < 0:
-            raise NegativeWait(f"bit {i} cannot fit path {path}")
-        r += pad
-        for q in reversed(entries):
-            pos, _ = g.neighbor(pos, q)
-            r += 1
-            yield (r, pos, q)
+        n = len(forward)
+        back = None
+        for k in ones:
+            i = (j - 1) * s + k + 1
+            start = (i - 1) * i * (2 * i - 1) // 2  # bound_time(i - 1)
+            for t, node, p in forward:
+                yield (start + t, node, p)
+            duration = 3 * i * i  # alloc(i)
+            if duration < 2 * n:
+                raise NegativeWait(f"bit {i} cannot fit path {path}")
+            if back is None:
+                nodes = [node for _, node, _ in forward[-2::-1]] + [home]
+                back = list(zip(range(1, n + 1), nodes, reversed(entries)))
+            start += duration - n
+            for t, node, q in back:
+                yield (start + t, node, q)
 
 
 def _agent_rows(
@@ -232,8 +242,3 @@ def _run_traced(
         if pos1 == pos2:
             return RvResult(met=True, meeting_round=r, meeting_node=pos1)
     raise RoundBudgetExceeded(f"no meeting within {cfg.max_rounds} rounds")
-
-
-def take_paths(n: int, mode: EnumMode = EnumMode.FIXED) -> List[Path]:
-    """First n paths of the global order (convenience for tests and reports)."""
-    return list(islice(global_paths(mode), n))

@@ -41,10 +41,15 @@ from porthunt.rendezvous_engine import (
     RvConfig,
     bound_time,
     run_urv,
-    tape_bit,
     trans,
 )
 from porthunt.weight_oracle import character_weight, critical_path
+
+
+def tape_bit(label, i):
+    """i-th bit (1-based) of the infinite periodic tape of a label."""
+    seg = trans(label)
+    return seg[(i - 1) % len(seg)]
 
 
 def _hunt_instances():

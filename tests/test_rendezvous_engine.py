@@ -1,10 +1,12 @@
+import itertools
 from itertools import islice
 
 import pytest
 
-from porthunt.battery import path3_graph
+from porthunt.battery import far_pair, path3_graph, rendezvous_graphs, rendezvous_start_pairs
 from porthunt.errors import NegativeWait, PreconditionError, RoundBudgetExceeded
-from porthunt.path_algebra import EnumMode
+from porthunt.path_algebra import EnumMode, global_paths
+from porthunt.port_graph import PortGraph, TreeOmega, TreeRegular, builtin, tree_node, two_node
 from porthunt.rendezvous_engine import (
     PathBook,
     RvConfig,
@@ -12,11 +14,19 @@ from porthunt.rendezvous_engine import (
     alloc,
     bound_time,
     run_urv,
-    take_paths,
-    tape_bit,
     trans,
 )
-from porthunt.port_graph import builtin, two_node
+
+
+def tape_bit(label, i):
+    """i-th bit (1-based) of the infinite periodic tape of a label."""
+    seg = trans(label)
+    return seg[(i - 1) % len(seg)]
+
+
+def take_paths(n, mode=EnumMode.FIXED):
+    """First n paths of the global order."""
+    return list(islice(global_paths(mode), n))
 
 
 def test_trans_examples():
@@ -124,6 +134,113 @@ def test_bit_actions_reject_overlong_path():
     events = _move_events(g, "0", 1, EnumMode.FIXED, _StubBook((1, 1, 1, 1)))
     with pytest.raises(NegativeWait):
         list(events)  # bit 1 lasts 3 rounds: 8 moves cannot fit
+
+
+def _per_bit_events(g, home, label, mode=EnumMode.FIXED):
+    """Reference bit walker: walks the segment's path afresh at every bit, and
+    back through the graph, adding up the rounds of every bit."""
+    seg = trans(label)
+    s = len(seg)
+    book = PathBook(mode)
+    pos = home
+    r = 0
+    i = 0
+    while True:
+        i += 1
+        duration = alloc(i)
+        if seg[(i - 1) % s] == 0:
+            r += duration
+            continue
+        path = book.get((i - 1) // s + 1)
+        entries = []
+        for p in path:
+            if not g.degree(pos).has_port(p):
+                break
+            pos, q = g.neighbor(pos, p)
+            entries.append(q)
+            r += 1
+            yield (r, pos, p)
+        pad = duration - 2 * len(entries)
+        if pad < 0:
+            raise NegativeWait(f"bit {i} cannot fit path {path}")
+        r += pad
+        for q in reversed(entries):
+            pos, _ = g.neighbor(pos, q)
+            r += 1
+            yield (r, pos, q)
+
+
+def _walker_cases():
+    cases = [("two_node", two_node(), "u"), ("path3", path3_graph(), "u")]
+    cases += [(f"ring:{n}", builtin("ring", [n]), "0") for n in range(3, 7)]
+    for name, g in rendezvous_graphs():
+        cases += [(f"{name}@{v}", g, v) for v in sorted(set(far_pair(g)))]
+    cases.append(("tree_regular:3", TreeRegular(3), tree_node(2, 1)))
+    cases.append(("tree_omega", TreeOmega(), tree_node()))  # a home of infinite degree
+    cases.append(("tree_omega@deep", TreeOmega(), tree_node(3, 1)))
+    return cases
+
+
+WALKER_CASES = _walker_cases()
+RV_GRAPHS = rendezvous_graphs()
+
+
+@pytest.mark.parametrize("name,g,home", WALKER_CASES, ids=[c[0] for c in WALKER_CASES])
+def test_segment_walker_matches_per_bit_walker(name, g, home):
+    for label in range(1, 129):
+        fast = list(islice(_move_events(g, home, label, EnumMode.FIXED), 100))
+        assert fast == list(islice(_per_bit_events(g, home, label), 100)), label
+
+
+class _CountingGraph(PortGraph):
+    """Counts the degree and neighbor calls made on a wrapped graph."""
+
+    def __init__(self, base):
+        self._base = base
+        self.calls = {"degree": 0, "neighbor": 0}
+
+    def degree(self, v):
+        self.calls["degree"] += 1
+        return self._base.degree(v)
+
+    def neighbor(self, v, p):
+        self.calls["neighbor"] += 1
+        return self._base.neighbor(v, p)
+
+
+def _walk_length(g, home, path):
+    """Moves of the maximal feasible prefix of path from home."""
+    pos = home
+    for n, p in enumerate(path):
+        if not g.degree(pos).has_port(p):
+            return n
+        pos, _ = g.neighbor(pos, p)
+    return len(path)
+
+
+def _forward_steps(g, home, label, offset, meeting_round):
+    """Forward moves of the segments an agent's walker has entered by the
+    meeting: up to the segment of its first event after it, which the
+    simulator fetched in advance."""
+    r = next(r for r, _, _ in _per_bit_events(g, home, label) if r + offset > meeting_round)
+    i = next(i for i in range(1, r + 1) if bound_time(i) >= r)
+    last_segment = (i - 1) // len(trans(label)) + 1
+    return sum(_walk_length(g, home, path) for path in take_paths(last_segment))
+
+
+@pytest.mark.parametrize("name,g", RV_GRAPHS, ids=[n for n, _ in RV_GRAPHS])
+def test_walker_walks_each_segment_once(name, g):
+    # every segment has at least three 1-bits, so a walk per bit would at
+    # least triple the neighbor calls
+    for (v1, v2), (l1, l2), delay in itertools.product(
+        rendezvous_start_pairs(g), [(7, 11), (21, 13)], [0, 17]
+    ):
+        counted = _CountingGraph(g)
+        r = run_urv(counted, (v1, l1), (v2, l2), RvConfig(delay=delay)).meeting_round
+        steps = _forward_steps(g, v1, l1, 0, r) + _forward_steps(g, v2, l2, delay, r)
+        assert counted.calls["neighbor"] == steps
+        # run_urv's two checks, one per home, at most one per forward step
+        assert counted.calls["degree"] <= steps + 4
 
 
 def test_agent_returns_home_at_every_bit_boundary():

@@ -86,6 +86,25 @@ def test_skipping_driver_matches_sweeping_every_type(name, g, mode):
             assert s == 1 or _raises(g, base, t, mode, s - 1)
 
 
+TREE_HUNTS = [(1, "r/1"), (2, "r/2/1/1/1"), (3, "r/1/2"), (3, "r/3/2/2"), (4, "r/4/3/2")]
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("d,treasure", TREE_HUNTS, ids=[f"{d}:{t}" for d, t in TREE_HUNTS])
+def test_skipping_on_tree_regular_matches_sweeping_every_type(d, treasure, mode):
+    g = TreeRegular(d)
+    visits = {}
+    steps = 0
+    for m, delta in types_in_order(mode):
+        steps = _sweep_type_fast(g, "r", {treasure}, m, delta, steps, visits)
+        if visits:
+            break
+    s, ptype, prefix = visits[treasure]
+    r = run_uth(g, "r", treasure, HuntConfig(mode=mode, max_steps=s))
+    assert (r.steps, r.found_type, r.visit_prefix) == (s, ptype, prefix)
+    assert s == 1 or _raises(g, "r", treasure, mode, s - 1)
+
+
 CHARGE_GRAPHS = [(name, g) for name, g in GRAPHS
                  if name in ("two_node", "path3", "ring:5", "complete:4", "battery:0", "battery:7")]
 
@@ -136,8 +155,11 @@ def test_max_degree_and_sweep_bound():
     assert max_degree(truncated_tree_omega(2, 12)) == 12
     ring = builtin("ring", [6])
     assert max_degree(RelabeledGraph(ring, {v: "x" + v for v in ring.nodes()})) == 2
-    for lazy in (TreeOmega(), TreeRegular(3), RelabeledGraph(TreeOmega(), {"r": "root"})):
+    for lazy in (TreeOmega(), RelabeledGraph(TreeOmega(), {"r": "root"})):
         assert max_degree(lazy) is None
+    for d in (1, 2, 3, 7):
+        assert max_degree(TreeRegular(d)) == d
+    assert max_degree(RelabeledGraph(TreeRegular(3), {"r": "root"})) == 3
     assert sweep_bound(None, EnumMode.FIXED) is None
     assert sweep_bound(1, EnumMode.FIXED) == 1
     assert sweep_bound(1, EnumMode.STRICT) is None  # the two-node graph hits in (2, 2)
