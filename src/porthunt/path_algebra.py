@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from enum import Enum
+from itertools import chain, count
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import NotEnumerated
@@ -79,26 +80,29 @@ def phase_types(j: int, mode: EnumMode = EnumMode.FIXED) -> List[PathType]:
 
 
 def types_in_order(
-    mode: EnumMode = EnumMode.FIXED, max_port: Optional[int] = None
+    mode: EnumMode = EnumMode.FIXED,
+    max_port: Optional[int] = None,
+    max_single: Optional[int] = None,
 ) -> Iterator[PathType]:
     """All types in increasing (value, lex) order, one per yield, never ending.
 
     Priority-queue merge of the per-length streams; emits exactly the order of
     the phase loop (j = 2, 3, ... with lex-sorted types inside each phase).
     With max_port, each stream ends at x = max_port: the subsequence of types
-    whose max port is at most max_port.
+    whose max port is at most max_port.  With max_single, the length-1 stream
+    also ends at x = max_single (it is empty below the mode's least port).
     """
     x0 = _LEAST_PORT[mode]
     if max_port is not None and max_port < x0:
         raise ValueError(f"no type of mode {mode.value} has max port <= {max_port}")
-    heap = [(value(x0, 1), x0, 1)]
+    heap = [] if max_single is not None and max_single < x0 else [(value(x0, 1), x0, 1)]
     next_y = 2
     while True:
         while not heap or value(x0, next_y) <= heap[0][0]:
             heapq.heappush(heap, (value(x0, next_y), x0, next_y))
             next_y += 1
         _, x, y = heapq.heappop(heap)
-        if max_port is None or x < max_port:
+        if (max_port is None or x < max_port) and (y > 1 or max_single is None or x < max_single):
             heapq.heappush(heap, (value(x + 1, y), x + 1, y))
         yield (x, y)
 
@@ -173,6 +177,31 @@ def global_paths(mode: EnumMode = EnumMode.FIXED) -> Iterator[Path]:
     """All finite paths over positive ports, each exactly once, in star order."""
     for m, delta in types_in_order(mode):
         yield from paths_of_type(m, delta)
+
+
+def departures(d: int, mode: EnumMode = EnumMode.FIXED) -> Iterator[Tuple[int, Path]]:
+    """(j, path j of global_paths(mode)) for every path whose first port is at
+    most d, in order, never ending; the paths a node of degree d can depart on.
+
+    The departing paths of a type (m, delta) are a lex-prefix block of it: the
+    whole type if m <= d, else first ports 1..d (none at length 1).  Their
+    indices follow the type's first index, counted as it passes: every type of
+    length >= 2 is read, and the length-1 types before (m, delta) are
+    (x0..m-1, 1) if delta = 1, else (x0..value(m, delta)/2 - 1, 1).  The
+    length-1 stream ends at x = d, since no other length-1 type departs.
+    """
+    x0 = _LEAST_PORT[mode]
+    longer = 0  # paths of the types of length >= 2 read so far
+    for m, delta in types_in_order(mode, max_single=d):
+        if delta == 1:
+            yield longer + m - x0 + 1, (m,)
+            continue
+        first = longer + value(m, delta) // 2 - x0 + 1
+        members = chain.from_iterable(
+            _gen_type_members([q], delta - 1, q == m, m) for q in range(1, min(m, d) + 1)
+        )
+        yield from zip(count(first), members)
+        longer += count_of_type(m, delta)
 
 
 def _rank_in_type(path: Path) -> int:

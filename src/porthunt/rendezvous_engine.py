@@ -12,17 +12,19 @@ agents crossing the same edge in opposite directions do not meet.  A dormant
 simulators consume the move events of ``_move_events``: the fast loop jumps
 between them, the traced one renders every round.  All 1-bits of a segment
 walk the same path, so the walker walks it once per segment and replays the
-walk at each 1-bit; 0-bits and segments that cannot leave home cost nothing.
+walk at each 1-bit.  Each agent enumerates only the global paths whose first
+port exists at its home, indexed in closed form, with no cache shared between
+agents or runs; 0-bits and segments that cannot leave home cost nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import repeat
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from .errors import NegativeWait, PreconditionError, RoundBudgetExceeded
-from .path_algebra import EnumMode, Path, global_paths
+from .path_algebra import EnumMode, departures, global_paths
 from .port_graph import NodeId, PortGraph
 
 RvTraceRow = Tuple[int, int, int, NodeId, str, int, int, int, int]
@@ -64,25 +66,8 @@ def bound_time(n: int) -> int:
     return n * (n + 1) * (2 * n + 1) // 2
 
 
-class PathBook:
-    """Shared 1-based cache over the global path order."""
-
-    def __init__(self, mode: EnumMode = EnumMode.FIXED):
-        self._iter = global_paths(mode)
-        self._cache: List[Path] = []
-
-    def get(self, j: int) -> Path:
-        while len(self._cache) < j:
-            self._cache.append(next(self._iter))
-        return self._cache[j - 1]
-
-
 def _move_events(
-    g: PortGraph,
-    home: NodeId,
-    label: int,
-    mode: EnumMode,
-    book: Optional[PathBook] = None,
+    g: PortGraph, home: NodeId, label: int, mode: EnumMode
 ) -> Iterator[Tuple[int, NodeId, int]]:
     """The only bit walker: the rounds where the agent changes position, as
     (local round, new node, port taken).
@@ -90,21 +75,20 @@ def _move_events(
     Every 1-bit of segment j walks the maximal feasible prefix of the j-th
     global path, waits, and walks back through the learned entry ports, so
     the walk is made once per segment and replayed at each 1-bit, which
-    starts at round bound_time(i-1).  0-bits, and segments whose path has no
-    first port at home, yield nothing and cost nothing; positions are
-    constant between yields.
+    starts at round bound_time(i-1).  The agent enumerates only the paths
+    whose first port exists at home, with their indices in closed form
+    (``departures``), so 0-bits and segments whose path cannot leave home
+    yield nothing and cost nothing; positions are constant between yields.
+    A home of infinite degree departs on every path.
     """
     digits = _digits(label)
     s = 2 * len(digits) + 2
     # 0-based offsets of the 1-bits of trans(label): both copies of each 1, then the delimiter's
     ones = [k for t, ch in enumerate(digits) if ch == "1" for k in (2 * t, 2 * t + 1)]
     ones.append(s - 1)
-    book = book or PathBook(mode)
-    home_degree = g.degree(home)
-    for j in count(1):
-        path = book.get(j)
-        if not home_degree.has_port(path[0]):
-            continue
+    d = g.degree(home).d  # None: infinite degree
+    paths = enumerate(global_paths(mode), 1) if d is None else departures(d, mode)
+    for j, path in paths:
         pos, q = g.neighbor(home, path[0])
         forward = [(1, pos, path[0])]
         entries = [q]
@@ -133,14 +117,14 @@ def _move_events(
 
 
 def _agent_rows(
-    g: PortGraph, home: NodeId, label: int, mode: EnumMode, book: PathBook
+    g: PortGraph, home: NodeId, label: int, mode: EnumMode
 ) -> Iterator[Tuple[NodeId, str, int, int, int, int]]:
     """Per-round (node, action, port, bit_index, bit_value, segment) rendered
     from _move_events; bit i covers local rounds bound_time(i-1)+1..bound_time(i)."""
     seg = trans(label)
     s = len(seg)
     pos, r, i, end, bit = home, 0, 0, 0, ()
-    for move_round, node, port in _move_events(g, home, label, mode, book):
+    for move_round, node, port in _move_events(g, home, label, mode):
         while end < move_round:  # wait out bit i, then start bit i + 1
             yield from repeat((pos, "wait", 0) + bit, end - r)
             r, i = end, i + 1
@@ -196,23 +180,24 @@ def run_urv(
     if cfg.trace is not None:
         return _run_traced(g, start1, start2, cfg)
 
-    book = PathBook(cfg.mode)
-    ev1 = _move_events(g, v1, l1, cfg.mode, book)
-    ev2 = _move_events(g, v2, l2, cfg.mode, book)
+    ev1 = _move_events(g, v1, l1, cfg.mode)
+    ev2 = _move_events(g, v2, l2, cfg.mode)
     pos1, pos2 = v1, v2
-    next1 = next(ev1)
-    next2 = next(ev2)
-    off2 = cfg.delay
+    off2, max_rounds = cfg.delay, cfg.max_rounds
+    r1, node1, _ = next(ev1)
+    r2, node2, _ = next(ev2)
+    r2 += off2  # agent 2's rounds are counted from agent 1's wake-up
     while True:
-        r = min(next1[0], next2[0] + off2)
-        if r > cfg.max_rounds:
-            raise RoundBudgetExceeded(f"no meeting within {cfg.max_rounds} rounds")
-        while next1[0] == r:
-            pos1 = next1[1]
-            next1 = next(ev1)
-        while next2[0] + off2 == r:
-            pos2 = next2[1]
-            next2 = next(ev2)
+        r = r1 if r1 < r2 else r2
+        if r > max_rounds:
+            raise RoundBudgetExceeded(f"no meeting within {max_rounds} rounds")
+        if r1 == r:  # an agent moves at most once per round
+            pos1 = node1
+            r1, node1, _ = next(ev1)
+        if r2 == r:
+            pos2 = node2
+            r2, node2, _ = next(ev2)
+            r2 += off2
         if pos1 == pos2:
             return RvResult(met=True, meeting_round=r, meeting_node=pos1)
 
@@ -227,9 +212,8 @@ def _run_traced(
     rendered from the same event walker as the fast loop."""
     (v1, l1), (v2, l2) = start1, start2
     trace = cfg.trace
-    book = PathBook(cfg.mode)
-    rounds1 = _agent_rows(g, v1, l1, cfg.mode, book)
-    rounds2 = _agent_rows(g, v2, l2, cfg.mode, book)
+    rounds1 = _agent_rows(g, v1, l1, cfg.mode)
+    rounds2 = _agent_rows(g, v2, l2, cfg.mode)
     pos1, pos2 = v1, v2
     for r in range(1, cfg.max_rounds + 1):
         pos1, act, port, i, b, j = next(rounds1)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -9,6 +10,7 @@ from porthunt.path_algebra import (
     EnumMode,
     compare_star,
     count_of_type,
+    departures,
     global_paths,
     index_of_path,
     paths_of_type,
@@ -138,6 +140,29 @@ def test_global_paths_strictly_increasing(mode):
     for a, b in zip(stream, stream[1:]):
         assert compare_star(a, b) == -1
     assert len(set(stream)) == len(stream)
+
+
+DEPARTURES_PREFIX = 30000
+
+
+@functools.lru_cache(maxsize=None)
+def _global_prefix(mode):
+    return list(itertools.islice(global_paths(mode), DEPARTURES_PREFIX))
+
+
+@pytest.mark.parametrize("mode", [FIXED, STRICT])
+@pytest.mark.parametrize("d", range(1, 8))
+def test_departures_are_the_global_paths_leaving_a_degree_d_node(mode, d):
+    # STRICT with d = 1 has no length-1 type at all: its least port is 2
+    expected = [(j, p) for j, p in enumerate(_global_prefix(mode), 1) if p[0] <= d]
+    stream = departures(d, mode)
+    got = list(itertools.islice(stream, len(expected)))
+    assert got == expected
+    j, p = next(stream)  # the stream goes on past the prefix
+    assert j > DEPARTURES_PREFIX and p[0] <= d
+    assert all(p[0] <= d for _, p in got)
+    for j, p in got[::97]:
+        assert index_of_path(p, mode) == j
 
 
 def test_enumeration_completeness_fixed():

@@ -1,14 +1,20 @@
 import itertools
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 
-from porthunt.battery import far_pair, path3_graph, rendezvous_graphs, rendezvous_start_pairs
+from porthunt.battery import (
+    far_pair,
+    low_port_edge,
+    path3_graph,
+    rendezvous_graphs,
+    rendezvous_start_pairs,
+)
 from porthunt.errors import NegativeWait, PreconditionError, RoundBudgetExceeded
 from porthunt.path_algebra import EnumMode, global_paths
 from porthunt.port_graph import PortGraph, TreeOmega, TreeRegular, builtin, tree_node, two_node
+from porthunt import rendezvous_engine
 from porthunt.rendezvous_engine import (
-    PathBook,
     RvConfig,
     _move_events,
     alloc,
@@ -16,6 +22,7 @@ from porthunt.rendezvous_engine import (
     run_urv,
     trans,
 )
+from porthunt.weight_oracle import critical_path
 
 
 def tape_bit(label, i):
@@ -119,19 +126,12 @@ def test_plan_bit_length_is_allocation(i, bit):
         assert {row[:3] for row in of_bit} == {("0", "wait", 0)}
 
 
-class _StubBook:
-    """A path book that serves the same path for every segment."""
-
-    def __init__(self, path):
-        self.path = path
-
-    def get(self, j):
-        return self.path
-
-
-def test_bit_actions_reject_overlong_path():
+def test_bit_actions_reject_overlong_path(monkeypatch):
+    # serve the same path for every segment
+    monkeypatch.setattr(rendezvous_engine, "departures",
+                        lambda d, mode: ((j, (1, 1, 1, 1)) for j in count(1)))
     g = builtin("ring", [5])
-    events = _move_events(g, "0", 1, EnumMode.FIXED, _StubBook((1, 1, 1, 1)))
+    events = _move_events(g, "0", 1, EnumMode.FIXED)
     with pytest.raises(NegativeWait):
         list(events)  # bit 1 lasts 3 rounds: 8 moves cannot fit
 
@@ -141,7 +141,8 @@ def _per_bit_events(g, home, label, mode=EnumMode.FIXED):
     back through the graph, adding up the rounds of every bit."""
     seg = trans(label)
     s = len(seg)
-    book = PathBook(mode)
+    paths = []
+    stream = global_paths(mode)
     pos = home
     r = 0
     i = 0
@@ -151,7 +152,9 @@ def _per_bit_events(g, home, label, mode=EnumMode.FIXED):
         if seg[(i - 1) % s] == 0:
             r += duration
             continue
-        path = book.get((i - 1) // s + 1)
+        j = (i - 1) // s + 1
+        paths += islice(stream, j - len(paths))
+        path = paths[j - 1]
         entries = []
         for p in path:
             if not g.degree(pos).has_port(p):
@@ -258,7 +261,8 @@ def _naive_positions(g, home, label):
     for ch in bin(label)[2:]:
         seg += [int(ch), int(ch)]
     seg += [0, 1]
-    book = PathBook()
+    paths = []
+    stream = global_paths()
     pos = home
     i = 0
     while True:
@@ -269,7 +273,9 @@ def _naive_positions(g, home, label):
             for _ in range(duration):
                 yield pos
             continue
-        path = book.get((i - 1) // len(seg) + 1)
+        j = (i - 1) // len(seg) + 1
+        paths += islice(stream, j - len(paths))
+        path = paths[j - 1]
         entries = []
         for p in path:
             if not g.degree(pos).has_port(p):
@@ -391,3 +397,41 @@ def test_symmetric_labels_meet_in_both_assignments():
     assert a.met and b.met
     # the schedules differ, so the meetings generally do too; both are finite
     assert a.meeting_round >= 1 and b.meeting_round >= 1
+
+
+def _dormant_cases():
+    cases = []
+    for name, g in RV_GRAPHS:
+        for pair in sorted({low_port_edge(g), far_pair(g)}):
+            for v1, v2 in (pair, pair[::-1]):
+                path, k = critical_path(g, v1, v2)
+                cases.append((name, g, v1, v2, path, k))
+    return cases
+
+
+def test_dormant_agent_is_met_at_the_critical_path_round():
+    # No path before the critical path p (index k) has a feasible prefix that
+    # enters v2, and every segment opens with a 1-bit, so agent 1 first enters
+    # the dormant v2 at step len(p) of segment k.
+    runs = 0
+    for name, g, v1, v2, path, k in _dormant_cases():
+        for label in range(1, 33):
+            s = len(trans(label))
+            pred = (bound_time((k - 1) * s) if k > 1 else 0) + len(path)
+            if pred > 10 ** 12:
+                continue
+            cfg = RvConfig(delay=pred + 1, max_rounds=pred + 1)
+            r = run_urv(g, (v1, label), (v2, label + 1), cfg)
+            assert (r.meeting_round, r.meeting_node) == (pred, v2), (name, v1, v2, label)
+            runs += 1
+    assert runs == 1295  # the other 49 predictions exceed 10**12
+
+
+@pytest.mark.parametrize("n,meeting_round,node", [
+    (24, 18947145140821692, "12"),
+    (28, 1948705681130728862, "14"),
+])
+def test_far_pair_on_large_rings(n, meeting_round, node):
+    cfg = RvConfig(max_rounds=meeting_round)
+    r = run_urv(builtin("ring", [n]), ("0", 5), (str(n // 2), 12), cfg)
+    assert r.met and (r.meeting_round, r.meeting_node) == (meeting_round, node)
