@@ -169,17 +169,22 @@ def check_sleeper(graph_ref: str, start1: str, label1: int, start2: str,
                   max_rounds: int, cap: int) -> ExperimentReport:
     """Agent 2 never wakes up: the run must reduce to a hunt onto its node.
 
-    Every tape segment ends with a 1-bit, so segment k walks the whole
-    critical path (index k) into the dormant node: the meeting comes within
-    the first n_hat = k * len(trans(label1)) bits."""
+    No path before the critical path p (index k) has a feasible prefix that
+    enters the dormant node, and every tape segment opens with a 1-bit, so
+    agent 1 enters it exactly at step len(p) of segment k: round
+    bound_time((k-1) * s) + len(p), with s = len(trans(label1)).  The run
+    passes only at that round, which lies within the first
+    n_hat = k * s bits."""
     g = resolve_graph(graph_ref)
-    _, k = critical_path(g, start1, start2, cap)
-    n_hat = k * len(trans(label1))
+    path, k = critical_path(g, start1, start2, cap)
+    s = len(trans(label1))
+    n_hat = k * s
     bound = bound_time(n_hat)
+    exact = (bound_time((k - 1) * s) if k > 1 else 0) + len(path)
     result = run_urv(g, (start1, label1), (start2, label1 + 1),
                      RvConfig(delay=max_rounds, max_rounds=max_rounds))
     instance = f"{graph_ref} ({start1},{label1}) -> dormant {start2}"
-    passed = result.met and result.meeting_node == start2 and result.meeting_round <= bound
+    passed = result.met and result.meeting_node == start2 and result.meeting_round == exact
     return ExperimentReport("sleeper", instance, result.meeting_round, n_hat, bound, passed)
 
 

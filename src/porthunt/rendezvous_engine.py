@@ -8,20 +8,25 @@ at their starting node.
 
 The simulator is synchronous.  Meetings are detected at round boundaries only;
 agents crossing the same edge in opposite directions do not meet.  A dormant
-(not yet woken) agent sits at its start node and can be met there.  Both
-simulators consume the move events of ``_move_events``: the fast loop jumps
-between them, the traced one renders every round.  All 1-bits of a segment
-walk the same path, so the walker walks it once per segment and replays the
-walk at each 1-bit.  Each agent enumerates only the global paths whose first
-port exists at its home, indexed in closed form, with no cache shared between
-agents or runs; 0-bits and segments that cannot leave home cost nothing.
+(not yet woken) agent sits at its start node and can be met there.  One walker,
+``_walker``, serves both simulators.  All 1-bits of a segment walk the same
+path, so it walks the path once per segment and yields the segment as one
+item; asked, it then yields the segment's bursts, the walk out or back of one
+1-bit.  Each agent enumerates only the global paths whose first port exists at
+its home, indexed in closed form, with no cache shared between agents or runs;
+0-bits and segments that cannot leave home cost nothing.  The fast loop merges
+the two agents by intervals: while one agent stands still through the other's
+whole item, a segment that does not visit its node is skipped and a burst is
+searched for it, each in O(1); only where two bursts overlap does it compare
+round by round.  The traced simulator renders every round from the walker
+flattened into move events (``_move_events``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Generator, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import NegativeWait, PreconditionError, RoundBudgetExceeded
 from .path_algebra import EnumMode, departures, global_paths
@@ -66,20 +71,24 @@ def bound_time(n: int) -> int:
     return n * (n + 1) * (2 * n + 1) // 2
 
 
-def _move_events(
-    g: PortGraph, home: NodeId, label: int, mode: EnumMode
-) -> Iterator[Tuple[int, NodeId, int]]:
-    """The only bit walker: the rounds where the agent changes position, as
-    (local round, new node, port taken).
+def _walker(
+    g: PortGraph, home: NodeId, label: int, mode: EnumMode, offset: int = 0
+) -> Generator[Tuple[int, int, List[NodeId], Optional[Sequence[int]]], bool, None]:
+    """The only bit walker: one item per segment whose path departs from home,
+    and, when asked, that segment's bursts.
 
-    Every 1-bit of segment j walks the maximal feasible prefix of the j-th
-    global path, waits, and walks back through the learned entry ports, so
-    the walk is made once per segment and replayed at each 1-bit, which
-    starts at round bound_time(i-1).  The agent enumerates only the paths
-    whose first port exists at home, with their indices in closed form
-    (``departures``), so 0-bits and segments whose path cannot leave home
-    yield nothing and cost nothing; positions are constant between yields.
-    A home of infinite degree departs on every path.
+    An item is (first, last, nodes, ports): the agent moves in rounds
+    first+1..last (rounds counted from offset) and never leaves nodes and
+    home meanwhile.  A segment item has ports None, last = bound_time(i) for
+    its last bit i, and nodes the walk of the maximal feasible prefix of its
+    path.  Sent a true value, the walker yields the segment's bursts next:
+    for each 1-bit i, the walk out from round bound_time(i-1) and the walk
+    back, through the learned entry ports, that ends at round bound_time(i);
+    a burst moves once per round, to nodes[t] with port ports[t].  The
+    agent is at home outside its segments, and at the far end of the walk
+    between the two bursts of a bit.  Only the paths whose first port exists
+    at home are enumerated, with their indices in closed form
+    (``departures``); a home of infinite degree departs on every path.
     """
     digits = _digits(label)
     s = 2 * len(digits) + 2
@@ -90,30 +99,43 @@ def _move_events(
     paths = enumerate(global_paths(mode), 1) if d is None else departures(d, mode)
     for j, path in paths:
         pos, q = g.neighbor(home, path[0])
-        forward = [(1, pos, path[0])]
-        entries = [q]
+        nodes, entries = [pos], [q]
         for p in path[1:]:
             if not g.degree(pos).has_port(p):
                 break
             pos, q = g.neighbor(pos, p)
-            forward.append((len(forward) + 1, pos, p))
+            nodes.append(pos)
             entries.append(q)
-        n = len(forward)
-        back = None
-        for k in ones:
-            i = (j - 1) * s + k + 1
-            start = (i - 1) * i * (2 * i - 1) // 2  # bound_time(i - 1)
-            for t, node, p in forward:
-                yield (start + t, node, p)
-            duration = 3 * i * i  # alloc(i)
-            if duration < 2 * n:
-                raise NegativeWait(f"bit {i} cannot fit path {path}")
-            if back is None:
-                nodes = [node for _, node, _ in forward[-2::-1]] + [home]
-                back = list(zip(range(1, n + 1), nodes, reversed(entries)))
-            start += duration - n
-            for t, node, q in back:
-                yield (start + t, node, q)
+        n = len(nodes)
+        top = (j - 1) * s  # bits before the segment; its first bit, a 1-bit, is the shortest
+        if 3 * (top + 1) * (top + 1) < 2 * n:
+            raise NegativeWait(f"bit {top + 1} cannot fit path {path}")
+        first = offset + top * (top + 1) * (2 * top + 1) // 2  # bound_time(top)
+        last = offset + (top + s) * (top + s + 1) * (2 * top + 2 * s + 1) // 2
+        if (yield first, last, nodes, None):
+            ports = path[:n]
+            back, back_ports = nodes[-2::-1] + [home], entries[::-1]
+            for k in ones:
+                i = top + k + 1
+                start = offset + (i - 1) * i * (2 * i - 1) // 2  # bound_time(i - 1)
+                yield start, start + n, nodes, ports
+                end = start + 3 * i * i  # alloc(i)
+                yield end - n, end, back, back_ports
+
+
+def _move_events(
+    g: PortGraph, home: NodeId, label: int, mode: EnumMode
+) -> Iterator[Tuple[int, NodeId, int]]:
+    """The walker flattened: every round where the agent changes position, as
+    (local round, new node, port taken); positions are constant between."""
+    walker = _walker(g, home, label, mode)
+    while True:
+        r, _, nodes, ports = next(walker)
+        if ports is None:  # a segment: its bursts follow
+            r, _, nodes, ports = walker.send(True)
+        for node, port in zip(nodes, ports):
+            r += 1
+            yield r, node, port
 
 
 def _agent_rows(
@@ -171,6 +193,10 @@ def run_urv(
     Agent 1 wakes at round 1; agent 2 stays dormant at its start node through
     round cfg.delay.  Raises RoundBudgetExceeded if no meeting happens within
     cfg.max_rounds.
+
+    The fast loop holds one walker item per agent and takes the one that
+    starts first; a segment is split into bursts only when the other agent
+    moves during it or stands on its walk.
     """
     cfg = cfg or RvConfig()
     check_starts(start1, start2, cfg.delay)
@@ -180,26 +206,54 @@ def run_urv(
     if cfg.trace is not None:
         return _run_traced(g, start1, start2, cfg)
 
-    ev1 = _move_events(g, v1, l1, cfg.mode)
-    ev2 = _move_events(g, v2, l2, cfg.mode)
-    pos1, pos2 = v1, v2
-    off2, max_rounds = cfg.delay, cfg.max_rounds
-    r1, node1, _ = next(ev1)
-    r2, node2, _ = next(ev2)
-    r2 += off2  # agent 2's rounds are counted from agent 1's wake-up
+    max_rounds = cfg.max_rounds
+    wa, wb = _walker(g, v1, l1, cfg.mode), _walker(g, v2, l2, cfg.mode, cfg.delay)
+    fa, la, na, pa = next(wa)
+    fb, lb, nb, pb = next(wb)
+    at, bt = v1, v2  # the agents' nodes in rounds fa and fb
     while True:
-        r = r1 if r1 < r2 else r2
-        if r > max_rounds:
+        if fb < fa:  # a is the agent whose item starts first
+            wa, fa, la, na, pa, at, wb, fb, lb, nb, pb, bt = \
+                wb, fb, lb, nb, pb, bt, wa, fa, la, na, pa, at
+        if fa >= max_rounds:
             raise RoundBudgetExceeded(f"no meeting within {max_rounds} rounds")
-        if r1 == r:  # an agent moves at most once per round
-            pos1 = node1
-            r1, node1, _ = next(ev1)
-        if r2 == r:
-            pos2 = node2
-            r2, node2, _ = next(ev2)
-            r2 += off2
-        if pos1 == pos2:
-            return RvResult(met=True, meeting_round=r, meeting_node=pos1)
+        if la <= fb:  # b stands still at bt through a's whole item
+            if bt in na:  # a segment's walk back adds only a's home, where bt is not
+                if pa is None:  # a segment that reaches bt: step through its bursts
+                    fa, la, na, pa = wa.send(True)
+                    continue
+                return _meeting(fa + 1 + na.index(bt), bt, max_rounds)
+            if pa is not None:  # a burst ends at its last node, a segment at home
+                at = na[-1]
+            fa, la, na, pa = next(wa)
+        elif pa is None:
+            fa, la, na, pa = wa.send(True)
+        elif pb is None:
+            fb, lb, nb, pb = wb.send(True)
+        else:  # two bursts overlap: a moves alone through round fb, then both move
+            k = fb - fa
+            if bt in na[:k]:
+                return _meeting(fa + 1 + na.index(bt), bt, max_rounds)
+            m = la if la < lb else lb  # both bursts are compared through round m
+            for t in range(k, m - fa):
+                if na[t] == nb[t - k]:
+                    return _meeting(fa + 1 + t, na[t], max_rounds)
+            at, bt = na[m - fa - 1], nb[m - fb - 1]
+            if m == la:
+                fa, la, na, pa = next(wa)
+            else:
+                fa, na, pa = m, na[m - fa:], pa[m - fa:]
+            if m == lb:
+                fb, lb, nb, pb = next(wb)
+            else:
+                fb, nb, pb = m, nb[m - fb:], pb[m - fb:]
+
+
+def _meeting(r: int, node: NodeId, max_rounds: int) -> RvResult:
+    """The first meeting, at round r: a result within the budget, else an error."""
+    if r > max_rounds:
+        raise RoundBudgetExceeded(f"no meeting within {max_rounds} rounds")
+    return RvResult(met=True, meeting_round=r, meeting_node=node)
 
 
 def _run_traced(
@@ -209,7 +263,7 @@ def _run_traced(
     cfg: RvConfig,
 ) -> RvResult:
     """Round-by-round simulation emitting one trace row per agent per round,
-    rendered from the same event walker as the fast loop."""
+    rendered from the same walker as the fast loop."""
     (v1, l1), (v2, l2) = start1, start2
     trace = cfg.trace
     rounds1 = _agent_rows(g, v1, l1, cfg.mode)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import porthunt
+from porthunt import experiments_cli
 from porthunt.errors import ParseError
 from porthunt.experiments_cli import (
     EXIT_BAD_INPUT,
@@ -133,6 +135,22 @@ def test_sleeper_bound_comes_from_its_oracle(capsys):
                  "--label1", "3", "--start2", "2"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "measured=6329" in out and "oracle=24" in out and "bound=14700" in out
+
+
+def test_sleeper_fails_off_the_exact_round(capsys, monkeypatch):
+    # a meeting one round after the critical-path round is within the bound
+    # but not the round the dormant agent must be met at
+    real = experiments_cli.run_urv
+
+    def late(*args):
+        r = real(*args)
+        return dataclasses.replace(r, meeting_round=r.meeting_round + 1)
+
+    monkeypatch.setattr(experiments_cli, "run_urv", late)
+    assert main(["sleeper", "--graph", "ring:4", "--start1", "0",
+                 "--label1", "3", "--start2", "2"]) == EXIT_FAIL
+    out = capsys.readouterr().out
+    assert "measured=6330" in out and "bound=14700" in out and "result=fail" in out
 
 
 def test_hunt_trace_file_is_deterministic(tmp_path, graph_file):

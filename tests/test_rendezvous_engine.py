@@ -16,6 +16,7 @@ from porthunt.port_graph import PortGraph, TreeOmega, TreeRegular, builtin, tree
 from porthunt import rendezvous_engine
 from porthunt.rendezvous_engine import (
     RvConfig,
+    RvResult,
     _move_events,
     alloc,
     bound_time,
@@ -418,20 +419,77 @@ def test_dormant_agent_is_met_at_the_critical_path_round():
         for label in range(1, 33):
             s = len(trans(label))
             pred = (bound_time((k - 1) * s) if k > 1 else 0) + len(path)
-            if pred > 10 ** 12:
-                continue
             cfg = RvConfig(delay=pred + 1, max_rounds=pred + 1)
             r = run_urv(g, (v1, label), (v2, label + 1), cfg)
             assert (r.meeting_round, r.meeting_node) == (pred, v2), (name, v1, v2, label)
             runs += 1
-    assert runs == 1295  # the other 49 predictions exceed 10**12
+    assert runs == 1344
 
 
 @pytest.mark.parametrize("n,meeting_round,node", [
     (24, 18947145140821692, "12"),
     (28, 1948705681130728862, "14"),
+    (32, 188796833887884225184, "16"),
 ])
 def test_far_pair_on_large_rings(n, meeting_round, node):
     cfg = RvConfig(max_rounds=meeting_round)
     r = run_urv(builtin("ring", [n]), ("0", 5), (str(n // 2), 12), cfg)
     assert r.met and (r.meeting_round, r.meeting_node) == (meeting_round, node)
+
+
+def _event_meeting(g, start1, start2, cfg):
+    """Reference merge: pulls one (round, node, port) move event at a time from
+    each agent's flattened walker and checks every round where one moves."""
+    (v1, l1), (v2, l2) = start1, start2
+    ev1 = _move_events(g, v1, l1, cfg.mode)
+    ev2 = _move_events(g, v2, l2, cfg.mode)
+    pos1, pos2 = v1, v2
+    r1, node1, _ = next(ev1)
+    r2, node2, _ = next(ev2)
+    r2 += cfg.delay  # agent 2's rounds are counted from agent 1's wake-up
+    while True:
+        r = min(r1, r2)
+        if r > cfg.max_rounds:
+            raise RoundBudgetExceeded(f"no meeting within {cfg.max_rounds} rounds")
+        if r1 == r:  # an agent moves at most once per round
+            pos1 = node1
+            r1, node1, _ = next(ev1)
+        if r2 == r:
+            pos2 = node2
+            r2, node2, _ = next(ev2)
+            r2 += cfg.delay
+        if pos1 == pos2:
+            return RvResult(met=True, meeting_round=r, meeting_node=pos1)
+
+
+def _outcome(run, *args):
+    try:
+        r = run(*args)
+    except RoundBudgetExceeded as exc:
+        return ("budget", str(exc))
+    return (r.met, r.meeting_round, r.meeting_node)
+
+
+def _cross_check_cases():
+    cases = []
+    for name, g in RV_GRAPHS:
+        for pair in sorted({low_port_edge(g), far_pair(g)}):
+            cases += [(f"{name}:{a}-{b}", g, a, b) for a, b in (pair, pair[::-1])]
+    cases.append(("tree_regular:3", TreeRegular(3), tree_node(2, 1), tree_node(1, 2)))
+    cases.append(("tree_omega", TreeOmega(), tree_node(), tree_node(2, 1)))  # infinite degree
+    return cases
+
+
+CROSS_CHECK_CASES = _cross_check_cases()
+
+
+@pytest.mark.parametrize("mode", [EnumMode.FIXED, EnumMode.STRICT], ids=["fixed", "strict"])
+@pytest.mark.parametrize("name,g,v1,v2", CROSS_CHECK_CASES, ids=[c[0] for c in CROSS_CHECK_CASES])
+def test_interval_merge_matches_event_merge(name, g, v1, v2, mode):
+    for (l1, l2), delay, max_rounds in itertools.product(
+        [(1, 2), (5, 12), (7, 11), (21, 13)], [0, 1, 3, 17, 10 ** 6],
+        [1, 5, 30, 200, 5000, 10 ** 6],
+    ):
+        cfg = RvConfig(delay=delay, max_rounds=max_rounds, mode=mode)
+        fast = _outcome(run_urv, g, (v1, l1), (v2, l2), cfg)
+        assert fast == _outcome(_event_meeting, g, (v1, l1), (v2, l2), cfg), (l1, l2, cfg)
