@@ -28,7 +28,6 @@ from .path_algebra import (
     value,
 )
 from .port_graph import (
-    Degree,
     FiniteGraph,
     PortGraph,
     build_finite,

@@ -21,12 +21,14 @@ from .path_algebra import (
     types_in_order,
     value,
 )
-from .port_graph import NodeId, PortGraph, max_degree
+from .port_graph import NodeId, PortGraph
 
 TraceRow = Tuple[int, int, int, int, str, int, str]
 # step, phase_value, type_m, type_delta, action, port, result
 
 TRACE_HEADER = ("step", "phase_value", "type_m", "type_delta", "action", "port", "result")
+
+DEFAULT_MAX_STEPS = 10 ** 6
 
 
 def _check_budget(max_steps: int) -> None:
@@ -42,7 +44,7 @@ class Navigator:
         graph: PortGraph,
         start: NodeId,
         treasure: Optional[NodeId] = None,
-        max_steps: int = 10 ** 6,
+        max_steps: int = DEFAULT_MAX_STEPS,
     ):
         _check_budget(max_steps)
         graph.degree(start)  # raises UnknownNode for a bad start
@@ -55,7 +57,8 @@ class Navigator:
 
     def move(self, p: int) -> Optional[int]:
         """Take port p; returns the entry port, or None if p does not exist here."""
-        if not self._graph.degree(self._pos).has_port(p):
+        d = self._graph.degree(self._pos)
+        if p < 1 or d is not None and p > d:
             return None
         if self.steps >= self.max_steps:
             raise StepBudgetExceeded(f"step budget {self.max_steps} exhausted")
@@ -81,7 +84,7 @@ class TraverseOutcome:
 @dataclass
 class HuntConfig:
     mode: EnumMode = EnumMode.FIXED
-    max_steps: int = 10 ** 6
+    max_steps: int = DEFAULT_MAX_STEPS
     trace: Optional[Callable[[TraceRow], None]] = None
 
 
@@ -227,9 +230,10 @@ def _sweep_type_fast(
             steps += 2 * delta
             return False
         low = m if (not seen_max and remaining == 1) else 1
+        d = g.degree(pos)  # None: every port exists
         for q in range(low, m + 1):
             sub_seen = seen_max or q == m
-            if not g.degree(pos).has_port(q):
+            if d is not None and q > d:
                 # every member with this prefix breaks off here: 2*depth steps each
                 members = pow_m[remaining - 1] if sub_seen \
                     else pow_m[remaining - 1] - pow_m1[remaining - 1]
@@ -268,7 +272,7 @@ class _SkippedTypes:
         while len(self._walks) < y:
             nxt: Dict[NodeId, int] = {}
             for v, n in self._layer.items():
-                for p in range(1, self._g.degree(v).d + 1):
+                for p in range(1, self._g.degree(v) + 1):
                     u, _ = self._g.neighbor(v, p)
                     nxt[u] = nxt.get(u, 0) + n
             self._layer = nxt
@@ -298,7 +302,7 @@ def _first_visits(
     """
     visits: Dict[NodeId, Visit] = {}
     steps = 0
-    bound = sweep_bound(max_degree(g), mode)
+    bound = sweep_bound(g.max_degree(), mode)
     skipped = None if bound is None else _SkippedTypes(g, base, bound)
     for m, delta in types_in_order(mode, bound):
         steps += skipped.before((m, delta)) if skipped else 0
@@ -315,7 +319,7 @@ def first_visit_times(
     base: NodeId,
     targets: Iterable[NodeId],
     mode: EnumMode = EnumMode.FIXED,
-    max_steps: int = 10 ** 6,
+    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Dict[NodeId, int]:
     """Step count at the first visit of each target node during a hunt sweep.
 

@@ -1,7 +1,9 @@
 """Anonymous port-numbered connected multigraphs, finite or lazily infinite.
 
-Every node of finite degree d carries ports exactly 1..d; nodes of countably
-infinite degree carry all positive integers as ports.  Navigation is through
+A node's degree is a plain integer: ``degree(v)`` is d when v carries ports
+exactly 1..d, and None when v has countably infinite degree and carries every
+positive integer as a port; ``max_degree()`` is the largest degree, None if a
+degree is infinite or unbounded.  Navigation is through
 ``neighbor(v, p) -> (u, q)`` which must be an involution: taking port q at u
 leads back to v through port p.  Node identifiers exist only for the simulator
 and the oracles; agents never observe them.
@@ -27,31 +29,11 @@ from .errors import (
 NodeId = str
 
 
-@dataclass(frozen=True)
-class Degree:
-    """Degree of a node: ``Degree(d)`` for finite d, ``Degree(None)`` for countably infinite."""
-
-    d: Optional[int]
-
-    def __post_init__(self) -> None:
-        if self.d is not None and self.d < 1:
-            raise ValueError("finite degree must be >= 1")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.d is not None
-
-    def has_port(self, p: int) -> bool:
-        return p >= 1 and (self.d is None or p <= self.d)
-
-
-INFINITE = Degree(None)
-
-
 class PortGraph:
     """Abstract navigation structure: degree(v) and neighbor(v, p)."""
 
-    def degree(self, v: NodeId) -> Degree:
+    def degree(self, v: NodeId) -> Optional[int]:
+        """d >= 1 when v has the ports 1..d, None when every positive integer is one."""
         raise NotImplementedError
 
     def neighbor(self, v: NodeId, p: int) -> Tuple[NodeId, int]:
@@ -61,26 +43,9 @@ class PortGraph:
         """Full node list for finite graphs, None for infinite generators."""
         return None
 
-    def degree_bound(self) -> Optional[int]:
-        """Largest degree of an infinite graph, None if unbounded."""
+    def max_degree(self) -> Optional[int]:
+        """Largest degree of any node; None if a degree is infinite or unbounded."""
         return None
-
-    def contains(self, v: NodeId) -> bool:
-        try:
-            self.degree(v)
-            return True
-        except UnknownNode:
-            return False
-
-
-def max_degree(g: PortGraph) -> Optional[int]:
-    """Largest degree over g.nodes(), or g.degree_bound() for an infinite
-    graph; None for an infinite or unbounded degree."""
-    nodes = g.nodes()
-    if nodes is None:
-        return g.degree_bound()
-    degrees = [g.degree(v).d for v in nodes]
-    return None if not degrees or None in degrees else max(degrees)
 
 
 class FiniteGraph(PortGraph):
@@ -88,9 +53,11 @@ class FiniteGraph(PortGraph):
 
     def __init__(self, adj: Dict[NodeId, Dict[int, Tuple[NodeId, int]]]):
         self._adj = adj
-        self._degrees = {v: Degree(len(ports)) for v, ports in adj.items()}
+        self._degrees = {v: len(ports) for v, ports in adj.items()}
+        if 0 in self._degrees.values():
+            raise ValueError("finite degree must be >= 1")
 
-    def degree(self, v: NodeId) -> Degree:
+    def degree(self, v: NodeId) -> int:
         try:
             return self._degrees[v]
         except KeyError:
@@ -108,6 +75,9 @@ class FiniteGraph(PortGraph):
 
     def nodes(self) -> List[NodeId]:
         return list(self._adj)
+
+    def max_degree(self) -> Optional[int]:
+        return max(self._degrees.values(), default=None)
 
     @property
     def adjacency(self) -> Dict[NodeId, Dict[int, Tuple[NodeId, int]]]:
@@ -222,52 +192,38 @@ def _address(indices: Sequence[int]) -> NodeId:
 
 
 class _LazyTree(PortGraph):
-    """Infinite rooted tree navigated by child-index addresses.
+    """Infinite rooted tree navigated by child-index addresses, every node of
+    degree d (None: countably infinite).
 
     At the root, port j leads to the j-th child; at every other node, port 1
     leads to the parent and port j >= 2 leads to the (j-1)-th child.  Children
-    are always entered through port 1.
+    are always entered through port 1, so the root has d children and every
+    other node d - 1.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, d: Optional[int]) -> None:
+        self.d = d
         self._materialized: set = set()
 
-    def _child_cap(self, is_root: bool) -> Optional[int]:
-        """Max child index at a node, None for unbounded."""
-        raise NotImplementedError
-
-    def degree_bound(self) -> Optional[int]:
-        root, other = self._child_cap(is_root=True), self._child_cap(is_root=False)
-        return None if root is None or other is None else max(root, other + 1)
-
-    def _degree_of(self, addr: Tuple[int, ...]) -> Degree:
-        cap = self._child_cap(is_root=not addr)
-        if cap is None:
-            return INFINITE
-        return Degree(cap if not addr else cap + 1)
+    def max_degree(self) -> Optional[int]:
+        return self.d
 
     def _validated(self, v: NodeId) -> Tuple[int, ...]:
         addr = _parse_address(v)
-        if addr is None or not self._valid_address(addr):
+        d = self.d
+        if addr is None or (d is not None and addr
+                            and (addr[0] > d or any(k >= d for k in addr[1:]))):
             raise UnknownNode(f"no node {v!r}")
         return addr
 
-    def _valid_address(self, addr: Tuple[int, ...]) -> bool:
-        for depth, k in enumerate(addr):
-            cap = self._child_cap(is_root=depth == 0)
-            if cap is not None and k > cap:
-                return False
-        return True
-
-    def degree(self, v: NodeId) -> Degree:
-        addr = self._validated(v)
+    def degree(self, v: NodeId) -> Optional[int]:
+        self._validated(v)
         self._materialized.add(v)
-        return self._degree_of(addr)
+        return self.d
 
     def neighbor(self, v: NodeId, p: int) -> Tuple[NodeId, int]:
         addr = self._validated(v)
-        deg = self._degree_of(addr)
-        if not deg.has_port(p):
+        if p < 1 or self.d is not None and p > self.d:
             raise NoSuchPort(f"node {v!r} has no port {p}")
         if addr and p == 1:
             parent = addr[:-1]
@@ -288,21 +244,17 @@ class _LazyTree(PortGraph):
 class TreeOmega(_LazyTree):
     """The infinite tree with every node of countably infinite degree."""
 
-    def _child_cap(self, is_root: bool) -> Optional[int]:
-        return None
+    def __init__(self) -> None:
+        super().__init__(None)
 
 
 class TreeRegular(_LazyTree):
     """The infinite tree with every node of degree d."""
 
     def __init__(self, d: int) -> None:
-        super().__init__()
         if d < 1:
             raise BadParams("tree_regular needs d >= 1")
-        self.d = d
-
-    def _child_cap(self, is_root: bool) -> Optional[int]:
-        return self.d if is_root else self.d - 1
+        super().__init__(d)
 
 
 def truncated_tree_omega(depth: int, max_port: int) -> FiniteGraph:
@@ -445,17 +397,17 @@ def validate(
             raise ValueError("infinite graph: pass sample_nodes and port_cap")
         nodes = list(sample_nodes)
     for v in nodes:
-        deg = g.degree(v)
-        ports = range(1, (deg.d if deg.is_finite else port_cap) + 1)
-        if port_cap is not None and deg.is_finite:
-            ports = range(1, min(deg.d, port_cap) + 1)
-        for p in ports:
+        top = g.degree(v)
+        if top is None or port_cap is not None and port_cap < top:
+            top = port_cap
+        for p in range(1, top + 1):
             try:
                 u, q = g.neighbor(v, p)
             except NoSuchPort:
                 violations.append(f"port {p} missing at {v!r} (degree says it exists)")
                 continue
-            if not g.degree(u).has_port(q):
+            du = g.degree(u)
+            if q < 1 or du is not None and q > du:
                 violations.append(f"entry port {q} invalid at {u!r} (from {v!r}:{p})")
                 continue
             back = g.neighbor(u, q)
@@ -482,7 +434,7 @@ class RelabeledGraph(PortGraph):
         except KeyError:
             raise UnknownNode(f"no node {v!r}") from None
 
-    def degree(self, v: NodeId) -> Degree:
+    def degree(self, v: NodeId) -> Optional[int]:
         return self._base.degree(self._old(v))
 
     def neighbor(self, v: NodeId, p: int) -> Tuple[NodeId, int]:
@@ -493,5 +445,5 @@ class RelabeledGraph(PortGraph):
         ns = self._base.nodes()
         return None if ns is None else [self._fwd[v] for v in ns]
 
-    def degree_bound(self) -> Optional[int]:
-        return self._base.degree_bound()
+    def max_degree(self) -> Optional[int]:
+        return self._base.max_degree()

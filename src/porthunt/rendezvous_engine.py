@@ -95,13 +95,14 @@ def _walker(
     # 0-based offsets of the 1-bits of trans(label): both copies of each 1, then the delimiter's
     ones = [k for t, ch in enumerate(digits) if ch == "1" for k in (2 * t, 2 * t + 1)]
     ones.append(s - 1)
-    d = g.degree(home).d  # None: infinite degree
+    d = g.degree(home)  # None: infinite degree
     paths = enumerate(global_paths(mode), 1) if d is None else departures(d, mode)
     for j, path in paths:
         pos, q = g.neighbor(home, path[0])
         nodes, entries = [pos], [q]
         for p in path[1:]:
-            if not g.degree(pos).has_port(p):
+            dp = g.degree(pos)
+            if dp is not None and p > dp:
                 break
             pos, q = g.neighbor(pos, p)
             nodes.append(pos)

@@ -20,7 +20,7 @@ from .path_algebra import (
     types_in_order,
     value,
 )
-from .port_graph import FiniteGraph, NodeId, PortGraph, distances, max_degree
+from .port_graph import FiniteGraph, NodeId, PortGraph, distances
 
 DEFAULT_CAP = 10 ** 6
 
@@ -55,9 +55,10 @@ def _search_type(
             rank += 1
             return pos == v
         low = m if (not seen_max and remaining == 1) else 1
+        d = g.degree(pos)  # None: every port exists
         for q in range(low, m + 1):
             sub_seen = seen_max or q == m
-            if not g.degree(pos).has_port(q):
+            if d is not None and q > d:
                 rank += pow_m[remaining - 1] if sub_seen \
                     else pow_m[remaining - 1] - pow_m1[remaining - 1]
                 continue
@@ -79,7 +80,7 @@ def _first_connecting(
     """First full u -> v path in the global order, with its index, type and value."""
     g.degree(v)  # an unknown target raises UnknownNode here instead of CapExceeded at the cap
     # only types with max port at most the max degree hold a full path
-    for m, delta in types_in_order(mode, sweep_bound(max_degree(g), mode)):
+    for m, delta in types_in_order(mode, sweep_bound(g.max_degree(), mode)):
         val = value(m, delta)
         if val > cap:
             raise CapExceeded(f"no path {u!r} -> {v!r} of value <= {cap}")

@@ -15,7 +15,6 @@ from porthunt.errors import (
     UnknownNode,
 )
 from porthunt.port_graph import (
-    Degree,
     FiniteGraph,
     RelabeledGraph,
     TreeOmega,
@@ -40,7 +39,7 @@ edge x 2 v 1
 def test_parse_and_build_roundtrip():
     g = from_text(TEXT_OK)
     assert sorted(g.nodes()) == ["u", "v", "x"]
-    assert g.degree("x").d == 2
+    assert g.degree("x") == 2
     assert g.neighbor("u", 1) == ("x", 1)
     assert g.neighbor("x", 2) == ("v", 1)
 
@@ -92,22 +91,47 @@ def test_validate_reports_each_violation():
     ]
 
 
+def test_validate_checks_only_ports_up_to_the_cap():
+    g = FiniteGraph({
+        "u": {1: ("v", 1), 2: ("w", 1), 3: ("w", 1)},  # u:3 -> w:1 leads back to u:2
+        "v": {1: ("u", 1), 2: ("w", 1)},  # v:2 -> w:1 leads back to u:2
+        "w": {1: ("u", 2)},
+    })
+    v_broken = "involution broken: neighbor('v',2)=('w',1) but neighbor('w',1)=('u', 2)"
+    u_broken = "involution broken: neighbor('u',3)=('w',1) but neighbor('w',1)=('u', 2)"
+    assert validate(g, port_cap=2) == [v_broken]  # port 3 of u (degree 3) is above the cap
+    assert validate(g) == [u_broken, v_broken]
+
+
 def test_self_loop_occupies_two_ports():
     g = from_text("edge u 1 v 1\nedge v 2 v 3")
-    assert g.degree("v").d == 3
+    assert g.degree("v") == 3
     assert g.neighbor("v", 2) == ("v", 3)
     assert g.neighbor("v", 3) == ("v", 2)
     assert not validate(g)
 
 
 def test_degree_contract():
-    assert Degree(3).has_port(3)
-    assert not Degree(3).has_port(4)
-    assert not Degree(3).has_port(0)
-    assert Degree(None).has_port(10 ** 9)
-    assert not Degree(None).is_finite
+    assert from_text(TEXT_OK).degree("x") == 2
     with pytest.raises(ValueError):
-        Degree(0)
+        FiniteGraph({"u": {1: ("u", 1)}, "x": {}})  # a finite degree is at least 1
+    for d in (2, 3, 7):
+        g = TreeRegular(d)
+        assert g.degree(tree_node()) == d
+        assert g.degree(tree_node(d, d - 1, d - 1)) == d  # depth 3, last child at each level
+    assert TreeOmega().degree(tree_node(9, 9, 9)) is None
+    ring = builtin("ring", [5])
+    relabeled = RelabeledGraph(ring, {v: "n" + v for v in ring.nodes()})
+    assert relabeled.degree("n3") == 2 and relabeled.max_degree() == 2
+    omega = RelabeledGraph(TreeOmega(), {tree_node(): "root"})
+    assert omega.degree("root") is None and omega.max_degree() is None
+    for g in (TreeRegular(3), TreeOmega()):
+        with pytest.raises(NoSuchPort):
+            g.neighbor(tree_node(1), 0)
+    with pytest.raises(NoSuchPort):
+        TreeRegular(3).neighbor(tree_node(), 4)
+    with pytest.raises(NoSuchPort):
+        TreeRegular(3).neighbor(tree_node(1), 4)
 
 
 def test_unknown_node_and_port():
@@ -140,7 +164,7 @@ def test_ring_family():
 
 def test_complete_family():
     g = builtin("complete", [4])
-    assert all(g.degree(v).d == 3 for v in g.nodes())
+    assert all(g.degree(v) == 3 for v in g.nodes())
     assert not validate(g)
 
 
@@ -162,7 +186,7 @@ def test_builtin_dispatch_errors():
 def test_tree_omega_navigation():
     g = TreeOmega()
     root = tree_node()
-    assert not g.degree(root).is_finite
+    assert g.degree(root) is None
     child7, entry = g.neighbor(root, 7)
     assert (child7, entry) == (tree_node(7), 1)
     assert g.neighbor(child7, 1) == (root, 7)
@@ -181,19 +205,23 @@ def test_tree_omega_involution_sampled():
 def test_tree_omega_rejects_malformed_addresses():
     g = TreeOmega()
     for bad in ("x", "r/", "r/0", "r/1/x", ""):
-        assert not g.contains(bad)
-    assert g.contains(tree_node(1, 2, 3))
+        with pytest.raises(UnknownNode):
+            g.degree(bad)
+    assert g.degree(tree_node(1, 2, 3)) is None
 
 
 def test_tree_regular():
     g = TreeRegular(3)
-    assert g.degree(tree_node()).d == 3
-    assert g.degree(tree_node(2)).d == 3
+    assert g.degree(tree_node()) == 3
+    assert g.degree(tree_node(2)) == 3
     assert g.neighbor(tree_node(2), 3) == (tree_node(2, 2), 1)
-    assert not g.contains(tree_node(4))  # root has only 3 children
-    assert not g.contains(tree_node(1, 3))  # non-root nodes have 2 children
-    assert not TreeRegular(1).contains(tree_node(1, 1))  # d = 1: a single edge
-    assert TreeRegular(1).degree(tree_node(1)).d == 1
+    with pytest.raises(UnknownNode):
+        g.degree(tree_node(4))  # root has only 3 children
+    with pytest.raises(UnknownNode):
+        g.degree(tree_node(1, 3))  # non-root nodes have 2 children
+    with pytest.raises(UnknownNode):
+        TreeRegular(1).degree(tree_node(1, 1))  # d = 1: a single edge
+    assert TreeRegular(1).degree(tree_node(1)) == 1
     assert not validate(g, sample_nodes=[tree_node(), tree_node(1), tree_node(1, 1)],
                         port_cap=3)
 
@@ -211,9 +239,9 @@ def test_lazy_tree_materializes_only_touched_nodes():
 def test_truncated_tree_omega_shape():
     g = truncated_tree_omega(3, 20)
     assert not validate(g)
-    assert g.degree(tree_node()).d == 20
-    assert g.degree(tree_node(1)).d == 20
-    assert g.degree(tree_node(1, 1, 1)).d == 1  # leaf at the depth cap
+    assert g.degree(tree_node()) == 20
+    assert g.degree(tree_node(1)) == 20
+    assert g.degree(tree_node(1, 1, 1)) == 1  # leaf at the depth cap
     # node count: 1 + 20 + 20*19 + 20*19*19
     assert len(g.nodes()) == 1 + 20 + 20 * 19 + 20 * 19 * 19
     with pytest.raises(BadParams):
@@ -224,7 +252,7 @@ def test_truncated_tree_matches_infinite_tree_locally():
     finite = truncated_tree_omega(2, 8)
     infinite = TreeOmega()
     for v in [tree_node(), tree_node(3), tree_node(3, 2)]:
-        cap = finite.degree(v).d
+        cap = finite.degree(v)
         for p in range(1, cap + 1):
             assert finite.neighbor(v, p) == infinite.neighbor(v, p)
 
@@ -250,5 +278,5 @@ def test_relabeled_graph_is_same_structure():
 def test_neighbor_is_deterministic():
     g = builtin("random_tree", [10, 7])
     for v in g.nodes():
-        for p in range(1, g.degree(v).d + 1):
+        for p in range(1, g.degree(v) + 1):
             assert g.neighbor(v, p) == g.neighbor(v, p)

@@ -27,11 +27,11 @@ from porthunt.path_algebra import (
     types_in_order,
 )
 from porthunt.port_graph import (
+    FiniteGraph,
     RelabeledGraph,
     TreeOmega,
     TreeRegular,
     builtin,
-    max_degree,
     truncated_tree_omega,
     two_node,
 )
@@ -111,7 +111,7 @@ CHARGE_GRAPHS = [(name, g) for name, g in GRAPHS
 
 @pytest.mark.parametrize("name,g", CHARGE_GRAPHS, ids=[name for name, _ in CHARGE_GRAPHS])
 def test_run_charge_equals_the_sweeps_of_its_types(name, g):
-    delta = max_degree(g)
+    delta = g.max_degree()
     for base in g.nodes()[:2]:
         skipped = _SkippedTypes(g, base, delta)
         for y in range(1, 6):
@@ -150,16 +150,16 @@ def test_bounded_stream_is_the_filtered_stream(mode, max_port):
 
 
 def test_max_degree_and_sweep_bound():
-    assert max_degree(two_node()) == 1
-    assert max_degree(builtin("complete", [5])) == 4
-    assert max_degree(truncated_tree_omega(2, 12)) == 12
+    assert two_node().max_degree() == 1
+    assert builtin("complete", [5]).max_degree() == 4
+    assert truncated_tree_omega(2, 12).max_degree() == 12
     ring = builtin("ring", [6])
-    assert max_degree(RelabeledGraph(ring, {v: "x" + v for v in ring.nodes()})) == 2
+    assert RelabeledGraph(ring, {v: "x" + v for v in ring.nodes()}).max_degree() == 2
     for lazy in (TreeOmega(), RelabeledGraph(TreeOmega(), {"r": "root"})):
-        assert max_degree(lazy) is None
+        assert lazy.max_degree() is None
     for d in (1, 2, 3, 7):
-        assert max_degree(TreeRegular(d)) == d
-    assert max_degree(RelabeledGraph(TreeRegular(3), {"r": "root"})) == 3
+        assert TreeRegular(d).max_degree() == d
+    assert RelabeledGraph(TreeRegular(3), {"r": "root"}).max_degree() == 3
     assert sweep_bound(None, EnumMode.FIXED) is None
     assert sweep_bound(1, EnumMode.FIXED) == 1
     assert sweep_bound(1, EnumMode.STRICT) is None  # the two-node graph hits in (2, 2)
@@ -185,16 +185,30 @@ def _counting(monkeypatch, module, counts):
     monkeypatch.setattr(module, "types_in_order", counted)
 
 
+def _counting_calls(monkeypatch, name, counts):
+    original = getattr(FiniteGraph, name)
+
+    def counted(self, *args):
+        counts[name] += 1
+        return original(self, *args)
+    monkeypatch.setattr(FiniteGraph, name, counted)
+
+
 def test_criterion_3_work_is_pinned(monkeypatch):
     counts = {hunt_engine.__name__: 0, weight_oracle.__name__: 0}
     for module in (hunt_engine, weight_oracle):
         _counting(monkeypatch, module, counts)
+    nav = {"degree": 0, "neighbor": 0}
+    for name in nav:
+        _counting_calls(monkeypatch, name, nav)
     steps = 0
     for g, b, t in _criterion_3_instances():
         o = character_weight(g, b, t)
         steps += run_uth(g, b, t, HuntConfig(max_steps=2 * o.weight)).steps
     assert counts == {hunt_engine.__name__: 14611, weight_oracle.__name__: 14611}
     assert steps == 153544
+    # one degree read per expanded prefix-tree node, not one per probed port
+    assert nav == {"degree": 84320, "neighbor": 92330}
 
 
 def test_ring_cliff_is_gone():

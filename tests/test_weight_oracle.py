@@ -31,7 +31,8 @@ def walk(g, u, path):
     """Test-local full-path walker, independent of the oracle internals."""
     pos = u
     for p in path:
-        if not g.degree(pos).has_port(p):
+        d = g.degree(pos)
+        if d is not None and p > d:
             return None
         pos, _ = g.neighbor(pos, p)
     return pos
@@ -168,7 +169,7 @@ def test_bp_lex_shortest_path_brute_force():
         v1, v2 = ns[0], ns[-1]
         got = bp_lex_shortest_path(g, v1, v2)
         assert walk(g, v1, got) == v2
-        max_deg = max(g.degree(v).d for v in g.nodes())
+        max_deg = max(g.degree(v) for v in g.nodes())
         # no shorter route exists, and got is lex-minimal at its length
         for length in range(1, len(got) + 1):
             for p in itertools.product(range(1, max_deg + 1), repeat=length):
