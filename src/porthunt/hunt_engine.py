@@ -12,6 +12,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import StepBudgetExceeded
 from .path_algebra import (
+    LEAST_PORT,
     EnumMode,
     Path,
     PathType,
@@ -21,7 +22,7 @@ from .path_algebra import (
     types_in_order,
     value,
 )
-from .port_graph import NodeId, PortGraph
+from .port_graph import NodeId, PortGraph, PortTable, hop_distance, least_max_port
 
 TraceRow = Tuple[int, int, int, int, str, int, str]
 # step, phase_value, type_m, type_delta, action, port, result
@@ -257,37 +258,47 @@ def _sweep_type_fast(
     return steps
 
 
-class _SkippedTypes:
-    """Hunt cost of the types whose max port exceeds delta, charged in runs of x:
-    type (x, y) costs 2 * sum_{d=1}^{y-1} N_d * (x**(y-d) - (x-1)**(y-d)), with
-    N_d the feasible port walks of length d from base; a run telescopes."""
+class _Charge:
+    """Steps of the complete sweeps of the types before t with max port at
+    least x_lo, in closed form.
 
-    def __init__(self, g: PortGraph, base: NodeId, delta: int):
-        self._g, self._delta = g, delta
-        self._layer, self._walks = {base: 1}, [1]  # walks of the last length by end; N_d
-        self._charged: Dict[int, int] = {}  # length -> largest x charged
+    A path's sweep costs twice its feasible prefix, and A_x(l) * x**(y-l)
+    paths of {1..x}**y start with a feasible walk of length l, where A_x(l)
+    counts the feasible port walks of length l from the base with ports <= x
+    (A_x = A_top for x >= top, the max degree).  So sweeping all of
+    {1..x}**y costs 2 * G_x(y), G_x(y) = sum_{l=1}^{y} A_x(l) * x**(y-l),
+    type (x, y) costs 2 * (G_x(y) - G_{x-1}(y)), and per length y the types
+    (x_lo .. X_y(t), y) before t telescope.
+    """
 
-    def run_cost(self, y: int, a: int, b: int) -> int:
-        """Steps of the sweeps of types (a+1, y) .. (b, y), for a >= delta."""
-        while len(self._walks) < y:
+    def __init__(self, ports: PortTable, base: NodeId, top: int, x_lo: int):
+        self._ports, self._base, self._top, self._x_lo = ports, base, top, x_lo
+        self._walks: Dict[int, Tuple[Dict[NodeId, int], List[int]]] = {}  # x -> last layer, A_x
+
+    def _walk_counts(self, x: int, n: int) -> List[int]:
+        """A_x(1) .. A_x(n) (at least), for 1 <= x <= top."""
+        layer, counts = self._walks.setdefault(x, ({self._base: 1}, []))
+        while len(counts) < n:
             nxt: Dict[NodeId, int] = {}
-            for v, n in self._layer.items():
-                for p in range(1, self._g.degree(v) + 1):
-                    u, _ = self._g.neighbor(v, p)
-                    nxt[u] = nxt.get(u, 0) + n
-            self._layer = nxt
-            self._walks.append(sum(nxt.values()))
-        return 2 * sum(self._walks[d] * (b ** (y - d) - a ** (y - d)) for d in range(1, y))
+            for v, k in layer.items():
+                for u in self._ports[v][:x]:
+                    nxt[u] = nxt.get(u, 0) + k
+            layer = nxt
+            counts.append(sum(nxt.values()))
+        self._walks[x] = layer, counts
+        return counts
+
+    def _g(self, x: int, y: int) -> int:
+        if x == 0:
+            return 0
+        total = 0
+        for a in self._walk_counts(min(x, self._top), y)[:y]:
+            total = total * x + a
+        return total
 
     def before(self, t: PathType) -> int:
-        """Steps of the skipped types before t not charged yet."""
-        cost = 0
-        for y, b in last_x_by_length(t, self._delta + 1):
-            a = self._charged.get(y, self._delta)
-            if b > a:
-                cost += self.run_cost(y, a, b)
-                self._charged[y] = b
-        return cost
+        return 2 * sum(self._g(x, y) - self._g(self._x_lo - 1, y)
+                       for y, x in last_x_by_length(t, self._x_lo))
 
 
 def _first_visits(
@@ -295,22 +306,44 @@ def _first_visits(
 ) -> Dict[NodeId, Visit]:
     """First entry of each target (a non-empty set without base, emptied here).
 
-    Sweeps the types with max port at most the max degree in order, charges
-    the others (no first entry) in closed form, and stops right after the sweep
-    that empties the set.  Raises StepBudgetExceeded once a type ends with
-    targets left beyond max_steps, or a first entry lies beyond it.
+    Sweeps in order only the types that can enter a target and charges every
+    earlier type in closed form, then stops right after the sweep that
+    empties the set.  On a finite graph those are the types (x, y) with x at
+    least the least max port and y at least the hop distance of a walk into
+    the set, and with x at most the max degree: any prefix entering a node
+    within a type of larger max port is itself (in STRICT mode, followed by
+    port 2) a path of a smaller type.  A lazy tree sweeps every type up to
+    its max degree.  Raises StepBudgetExceeded as soon as the steps before a
+    type exceed max_steps, once a type ends with targets left beyond it, when
+    a first entry lies beyond it, or at once if no target is reachable.
     """
     visits: Dict[NodeId, Visit] = {}
-    steps = 0
-    bound = sweep_bound(g.max_degree(), mode)
-    skipped = None if bound is None else _SkippedTypes(g, base, bound)
-    for m, delta in types_in_order(mode, bound):
-        steps += skipped.before((m, delta)) if skipped else 0
-        steps = _sweep_type_fast(g, base, targets, m, delta, steps, visits)
+    top = g.max_degree()
+    bound = sweep_bound(top, mode)
+    ports = PortTable(g)
+    lazy = g.nodes() is None
+    if lazy:
+        stream = types_in_order(mode, bound)
+        charge = None if bound is None else _Charge(ports, base, top, bound + 1)
+    else:
+        near = hop_distance(ports, base, targets)
+        if near is None:
+            raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
+        least = least_max_port(ports, base, targets, top)
+        stream = types_in_order(mode, bound, min_port=least, min_length=near)
+        charge = _Charge(ports, base, top, LEAST_PORT[mode])
+    swept = 0  # steps of the swept types a lazy tree's charge leaves out
+    for m, delta in stream:
+        before = swept + (charge.before((m, delta)) if charge else 0)
+        if before > max_steps:
+            raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
+        steps = _sweep_type_fast(g, base, targets, m, delta, before, visits)
         if steps > max_steps:
             raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
         if not targets:
             return visits
+        if lazy:
+            swept += steps - before
     raise AssertionError("unreachable")
 
 

@@ -28,7 +28,7 @@ class EnumMode(Enum):
     FIXED = "fixed"
 
 
-_LEAST_PORT = {EnumMode.FIXED: 1, EnumMode.STRICT: 2}  # STRICT skips the all-ones types
+LEAST_PORT = {EnumMode.FIXED: 1, EnumMode.STRICT: 2}  # STRICT skips the all-ones types
 
 
 def value(x: int, y: int) -> int:
@@ -64,7 +64,7 @@ def phase_types(j: int, mode: EnumMode = EnumMode.FIXED) -> List[PathType]:
     """
     if j < 2:
         raise ValueError("phases start at j = 2")
-    min_x = _LEAST_PORT[mode]
+    min_x = LEAST_PORT[mode]
     out = []
     y = 1
     while y * (1 << y) <= j:
@@ -83,6 +83,8 @@ def types_in_order(
     mode: EnumMode = EnumMode.FIXED,
     max_port: Optional[int] = None,
     max_single: Optional[int] = None,
+    min_port: int = 1,
+    min_length: int = 1,
 ) -> Iterator[PathType]:
     """All types in increasing (value, lex) order, one per yield, never ending.
 
@@ -91,12 +93,15 @@ def types_in_order(
     With max_port, each stream ends at x = max_port: the subsequence of types
     whose max port is at most max_port.  With max_single, the length-1 stream
     also ends at x = max_single (it is empty below the mode's least port).
+    With min_port and min_length, the streams start at x = min_port (or the
+    mode's least port, if larger) and the lengths at min_length: the
+    subsequence of types (x, y) with x >= min_port and y >= min_length.
     """
-    x0 = _LEAST_PORT[mode]
+    x0 = max(min_port, LEAST_PORT[mode])
     if max_port is not None and max_port < x0:
-        raise ValueError(f"no type of mode {mode.value} has max port <= {max_port}")
-    heap = [] if max_single is not None and max_single < x0 else [(value(x0, 1), x0, 1)]
-    next_y = 2
+        raise ValueError(f"no type of mode {mode.value} has max port in {x0}..{max_port}")
+    next_y = 2 if min_length == 1 and max_single is not None and max_single < x0 else min_length
+    heap: List[Tuple[int, int, int]] = []
     while True:
         while not heap or value(x0, next_y) <= heap[0][0]:
             heapq.heappush(heap, (value(x0, next_y), x0, next_y))
@@ -112,7 +117,7 @@ def sweep_bound(max_degree: Optional[int], mode: EnumMode) -> Optional[int]:
     A prefix entering a node within a type of larger max port is itself (in
     STRICT mode, followed by port 2) a path of a smaller type; STRICT mode at
     degree 1 has no type without port 2."""
-    return None if max_degree is None or max_degree < _LEAST_PORT[mode] else max_degree
+    return None if max_degree is None or max_degree < LEAST_PORT[mode] else max_degree
 
 
 def last_x_by_length(t: PathType, x_min: int) -> Iterator[Tuple[int, int]]:
@@ -127,7 +132,7 @@ def last_x_by_length(t: PathType, x_min: int) -> Iterator[Tuple[int, int]]:
 
 def paths_before(t: PathType, mode: EnumMode = EnumMode.FIXED) -> int:
     """Number of paths of the types before t; per length y their counts telescope."""
-    x0 = _LEAST_PORT[mode]
+    x0 = LEAST_PORT[mode]
     return sum(x ** y - (x0 - 1) ** y for y, x in last_x_by_length(t, x0))
 
 
@@ -190,7 +195,7 @@ def departures(d: int, mode: EnumMode = EnumMode.FIXED) -> Iterator[Tuple[int, P
     (x0..m-1, 1) if delta = 1, else (x0..value(m, delta)/2 - 1, 1).  The
     length-1 stream ends at x = d, since no other length-1 type departs.
     """
-    x0 = _LEAST_PORT[mode]
+    x0 = LEAST_PORT[mode]
     longer = 0  # paths of the types of length >= 2 read so far
     for m, delta in types_in_order(mode, max_single=d):
         if delta == 1:

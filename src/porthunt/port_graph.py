@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     BadParams,
@@ -56,6 +56,7 @@ class FiniteGraph(PortGraph):
         self._degrees = {v: len(ports) for v, ports in adj.items()}
         if 0 in self._degrees.values():
             raise ValueError("finite degree must be >= 1")
+        self._max_degree = max(self._degrees.values(), default=None)
 
     def degree(self, v: NodeId) -> int:
         try:
@@ -77,7 +78,7 @@ class FiniteGraph(PortGraph):
         return list(self._adj)
 
     def max_degree(self) -> Optional[int]:
-        return max(self._degrees.values(), default=None)
+        return self._max_degree
 
     @property
     def adjacency(self) -> Dict[NodeId, Dict[int, Tuple[NodeId, int]]]:
@@ -159,6 +160,70 @@ def distances(adj: Dict[NodeId, Dict[int, Tuple[NodeId, int]]], src: NodeId) -> 
                 dist[u] = dist[v] + 1
                 queue.append(u)
     return dist
+
+
+class PortTable:
+    """The neighbors of each node by port, read from the graph on first use.
+
+    The searches below and the hunt's walk counts of one query share one
+    table, so that each reads a node's ports once.  Nodes of finite degree only.
+    """
+
+    def __init__(self, g: PortGraph):
+        self._g = g
+        self._rows: Dict[NodeId, Tuple[NodeId, ...]] = {}
+
+    def __getitem__(self, v: NodeId) -> Tuple[NodeId, ...]:
+        """Node reached by port p of v at index p - 1."""
+        row = self._rows.get(v)
+        if row is None:
+            neighbor = self._g.neighbor
+            row = self._rows[v] = tuple([neighbor(v, p)[0] for p in range(1, self._g.degree(v) + 1)])
+        return row
+
+
+def hop_distance(ports: PortTable, src: NodeId, targets: Set[NodeId]) -> Optional[int]:
+    """Fewest moves from src into a node of targets (src not among them), by
+    BFS; None if no target is reachable."""
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        v = queue.popleft()
+        for u in ports[v]:
+            if u not in dist:
+                if u in targets:
+                    return dist[v] + 1
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return None
+
+
+def least_max_port(ports: PortTable, src: NodeId, targets: Set[NodeId], top: int) -> Optional[int]:
+    """Least x such that a walk from src over ports <= x enters targets (src
+    not among them); None if no walk over ports <= top does.
+
+    Bucket search over port numbers: bucket x holds the nodes whose least max
+    port over walks from src is x, and the search stops past bucket top.
+    """
+    best = {src: 0}
+    buckets: List[List[NodeId]] = [[src]] + [[] for _ in range(top)]
+    for x, bucket in enumerate(buckets):
+        while bucket:
+            v = bucket.pop()
+            if best[v] < x:
+                continue  # reached later through a smaller max port
+            if v in targets:
+                return x
+            row = ports[v]
+            for u in row[:x]:  # a port <= x keeps the max port at x
+                if best.get(u, x + 1) > x:
+                    best[u] = x
+                    bucket.append(u)
+            for p, u in enumerate(row[x:top], x + 1):
+                if best.get(u, p + 1) > p:
+                    best[u] = p
+                    buckets[p].append(u)
+    return None
 
 
 def from_text(text: str) -> FiniteGraph:

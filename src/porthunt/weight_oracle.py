@@ -20,7 +20,15 @@ from .path_algebra import (
     types_in_order,
     value,
 )
-from .port_graph import FiniteGraph, NodeId, PortGraph, distances
+from .port_graph import (
+    FiniteGraph,
+    NodeId,
+    PortGraph,
+    PortTable,
+    distances,
+    hop_distance,
+    least_max_port,
+)
 
 DEFAULT_CAP = 10 ** 6
 
@@ -79,8 +87,17 @@ def _first_connecting(
 ) -> Tuple[Path, int, PathType, int]:
     """First full u -> v path in the global order, with its index, type and value."""
     g.degree(v)  # an unknown target raises UnknownNode here instead of CapExceeded at the cap
-    # only types with max port at most the max degree hold a full path
-    for m, delta in types_in_order(mode, sweep_bound(g.max_degree(), mode)):
+    # only types with max port at most the max degree hold a full path and, on
+    # a finite graph, only those whose max port and length admit a walk into v
+    top = g.max_degree()
+    least, near = 1, 1
+    if g.nodes() is not None:
+        ports = PortTable(g)
+        near = hop_distance(ports, u, {v})
+        if near is None:
+            raise CapExceeded(f"no path {u!r} -> {v!r} of value <= {cap}")
+        least = least_max_port(ports, u, {v}, top)
+    for m, delta in types_in_order(mode, sweep_bound(top, mode), min_port=least, min_length=near):
         val = value(m, delta)
         if val > cap:
             raise CapExceeded(f"no path {u!r} -> {v!r} of value <= {cap}")

@@ -1,8 +1,10 @@
-"""Degree-bounded type skipping, cross-checked against sweeping every type.
+"""Type skipping, cross-checked against sweeping every type.
 
 The hunt and the oracle sweep only the types whose max port is at most the
-graph's max degree and account for the others in closed form.  The
-references here sweep or count every type, as the engines did before.
+graph's max degree and, on a finite graph, at least the least max port of a
+walk into the target, with length at least its hop distance; the hunt charges
+every earlier type in closed form.  The references here sweep or count every
+type, as the engines did before.
 """
 
 import itertools
@@ -11,27 +13,32 @@ import pytest
 
 from porthunt import hunt_engine, weight_oracle
 from porthunt.battery import hunt_battery, path3_graph, truncated_tree_sample_nodes
-from porthunt.errors import StepBudgetExceeded
+from porthunt.errors import CapExceeded, StepBudgetExceeded
 from porthunt.hunt_engine import (
     HuntConfig,
-    _SkippedTypes,
+    _Charge,
     _sweep_type_fast,
     first_visit_times,
     run_uth,
 )
 from porthunt.path_algebra import (
+    LEAST_PORT,
     EnumMode,
     count_of_type,
     index_of_path,
     sweep_bound,
     types_in_order,
+    value,
 )
 from porthunt.port_graph import (
     FiniteGraph,
+    PortTable,
     RelabeledGraph,
     TreeOmega,
     TreeRegular,
     builtin,
+    hop_distance,
+    least_max_port,
     truncated_tree_omega,
     two_node,
 )
@@ -105,20 +112,72 @@ def test_skipping_on_tree_regular_matches_sweeping_every_type(d, treasure, mode)
     assert s == 1 or _raises(g, "r", treasure, mode, s - 1)
 
 
-CHARGE_GRAPHS = [(name, g) for name, g in GRAPHS
-                 if name in ("two_node", "path3", "ring:5", "complete:4", "battery:0", "battery:7")]
-
-
-@pytest.mark.parametrize("name,g", CHARGE_GRAPHS, ids=[name for name, _ in CHARGE_GRAPHS])
+@pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
 def test_run_charge_equals_the_sweeps_of_its_types(name, g):
-    delta = g.max_degree()
-    for base in g.nodes()[:2]:
-        skipped = _SkippedTypes(g, base, delta)
-        for y in range(1, 6):
-            for a, b in ((delta, delta + 1), (delta, delta + 3), (delta + 2, delta + 5)):
-                swept = sum(_sweep_type_fast(g, base, set(), x, y, 0, {})
-                            for x in range(a + 1, b + 1))
-                assert skipped.run_cost(y, a, b) == swept
+    """The closed-form total before each of the first 300 types is the sum of
+    the sweeps of every earlier type."""
+    for mode in MODES:
+        for base in g.nodes()[:2]:
+            charge = _Charge(PortTable(g), base, g.max_degree(), LEAST_PORT[mode])
+            swept = 0
+            for m, delta in itertools.islice(types_in_order(mode), 300):
+                assert charge.before((m, delta)) == swept
+                swept = _sweep_type_fast(g, base, set(), m, delta, swept, {})
+
+
+def _distances_over_ports(g, base, x):
+    """Hop distance from base of every node reached over ports <= x (BFS)."""
+    dist = {base: 0}
+    frontier = [base]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for p in range(1, min(x, g.degree(v)) + 1):
+                u, _ = g.neighbor(v, p)
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return dist
+
+
+def _bounds_by_brute_force(g, base, target):
+    """(hop distance, least max port) of the walks from base into target."""
+    top = g.max_degree()
+    least = min(x for x in range(1, top + 1) if target in _distances_over_ports(g, base, x))
+    return _distances_over_ports(g, base, top)[target], least
+
+
+@pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
+def test_entry_bounds_match_brute_force(name, g):
+    top = g.max_degree()
+    for b in g.nodes():
+        found = {t: _bounds_by_brute_force(g, b, t) for t in g.nodes() if t != b}
+        for t, bounds in found.items():
+            ports = PortTable(g)
+            assert (hop_distance(ports, b, {t}), least_max_port(ports, b, {t}, top)) == bounds
+        # a set's bounds are the least over its members, each taken on its own
+        ports = PortTable(g)
+        assert hop_distance(ports, b, set(found)) == min(d for d, _ in found.values())
+        assert least_max_port(ports, b, set(found), top) == min(x for _, x in found.values())
+
+
+@pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
+def test_types_below_the_bounds_never_enter_the_target(name, g):
+    """Every type of value up to four times the weight with y below the hop
+    distance or x below the least max port sweeps without entering the target."""
+    for b, t in itertools.permutations(g.nodes(), 2):
+        near, least = _bounds_by_brute_force(g, b, t)
+        weight = character_weight(g, b, t).weight
+        for mode in MODES:
+            for m, delta in types_in_order(mode, sweep_bound(g.max_degree(), mode)):
+                if value(m, delta) > 4 * weight:
+                    break
+                if delta >= near and m >= least:
+                    continue
+                visits = {}
+                _sweep_type_fast(g, b, {t}, m, delta, 0, visits)
+                assert visits == {}, (b, t, m, delta)
 
 
 def _index_by_counting(mode, n_types):
@@ -145,8 +204,15 @@ def test_bounded_stream_is_the_filtered_stream(mode, max_port):
         with pytest.raises(ValueError):
             next(types_in_order(mode, max_port))
         return
-    full = [t for t in itertools.islice(types_in_order(mode), 3000) if t[0] <= max_port]
-    assert list(itertools.islice(types_in_order(mode, max_port), len(full))) == full
+    full = list(itertools.islice(types_in_order(mode), 3000))
+    for min_port, min_length in itertools.product([1, 2, 3, 5], [1, 2, 4, 9]):
+        if min_port > max_port:
+            with pytest.raises(ValueError):
+                next(types_in_order(mode, max_port, min_port=min_port, min_length=min_length))
+            continue
+        kept = [(x, y) for x, y in full if min_port <= x <= max_port and y >= min_length]
+        stream = types_in_order(mode, max_port, min_port=min_port, min_length=min_length)
+        assert list(itertools.islice(stream, len(kept))) == kept
 
 
 def test_max_degree_and_sweep_bound():
@@ -205,10 +271,12 @@ def test_criterion_3_work_is_pinned(monkeypatch):
     for g, b, t in _criterion_3_instances():
         o = character_weight(g, b, t)
         steps += run_uth(g, b, t, HuntConfig(max_steps=2 * o.weight)).steps
-    assert counts == {hunt_engine.__name__: 14611, weight_oracle.__name__: 14611}
+    # only the types between the entry bounds and the max degree are swept
+    assert counts == {hunt_engine.__name__: 1936, weight_oracle.__name__: 1936}
     assert steps == 153544
-    # one degree read per expanded prefix-tree node, not one per probed port
-    assert nav == {"degree": 84320, "neighbor": 92330}
+    # one degree read per expanded prefix-tree node and per node of a query's
+    # port table, not one per probed port
+    assert nav == {"degree": 41272, "neighbor": 89129}
 
 
 def test_ring_cliff_is_gone():
@@ -217,3 +285,42 @@ def test_ring_cliff_is_gone():
     assert (o.character, o.weight, o.witness_index) == ((1, 20), 20971520, 14415283)
     r = run_uth(g, "0", "20", HuntConfig(max_steps=2 * o.weight))
     assert (r.steps, r.found_type, r.visit_prefix) == (280958, (1, 20), (1,) * 20)
+
+
+RING_PINS = [
+    (128, 1180591620717411303424, 818211047910047119948, 78405809572864488),
+    (256, 43556142965880123323311949751266331066368,
+     30190770933503118608479013040393435436592, 26688091563962032746024922340982400),
+]
+
+
+@pytest.mark.parametrize("n,weight,index,steps", RING_PINS, ids=[f"ring:{p[0]}" for p in RING_PINS])
+def test_far_pair_on_large_rings_is_pinned(n, weight, index, steps):
+    """Oracle and hunt from 0 to n/2: every type but (1, n/2) is charged or skipped."""
+    g = builtin("ring", [n])
+    half = n // 2
+    o = character_weight(g, "0", str(half), cap=weight)
+    assert (o.character, o.weight, o.witness_index) == ((1, half), weight, index)
+    assert o.witness == (1,) * half
+    r = run_uth(g, "0", str(half), HuntConfig(max_steps=steps))
+    assert (r.steps, r.found_type, r.visit_prefix) == (steps, (1, half), (1,) * half)
+    with pytest.raises(StepBudgetExceeded):
+        run_uth(g, "0", str(half), HuntConfig(max_steps=steps - 1))
+
+
+def test_disconnected_graph_ends_with_budget_errors():
+    """A target outside the base's component: no type can enter it."""
+    g = FiniteGraph({
+        "a": {1: ("b", 1), 2: ("a", 3), 3: ("a", 2)},
+        "b": {1: ("a", 1)},
+        "c": {1: ("d", 1)},
+        "d": {1: ("c", 1)},
+    })
+    with pytest.raises(CapExceeded):
+        character_weight(g, "a", "c", cap=10 ** 30)
+    for mode in MODES:
+        with pytest.raises(StepBudgetExceeded):
+            run_uth(g, "a", "c", HuntConfig(mode=mode, max_steps=10 ** 30))
+        # b is found first; the budget runs out on the sweeps that follow
+        with pytest.raises(StepBudgetExceeded):
+            first_visit_times(g, "a", ["b", "c"], mode, max_steps=10 ** 6)
