@@ -125,7 +125,7 @@ def low_port_edge(g: FiniteGraph) -> Tuple[NodeId, NodeId]:
 def far_pair(g: FiniteGraph) -> Tuple[NodeId, NodeId]:
     """First node and a BFS-farthest node from it (deterministic tie-break)."""
     ns = g.nodes()
-    dist = distances(g.adjacency, ns[0])
+    dist = distances(g, ns[0])
     return ns[0], max(ns, key=lambda n: (dist[n], n))
 
 

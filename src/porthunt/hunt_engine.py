@@ -8,7 +8,7 @@ simulator (not the agent) recognizes arrival at the treasure node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import StepBudgetExceeded
 from .path_algebra import (
@@ -22,7 +22,7 @@ from .path_algebra import (
     types_in_order,
     value,
 )
-from .port_graph import NodeId, PortGraph, PortTable, hop_distance, least_max_port
+from .port_graph import NodeId, PortGraph, entry_bounds
 
 TraceRow = Tuple[int, int, int, int, str, int, str]
 # step, phase_value, type_m, type_delta, action, port, result
@@ -211,50 +211,54 @@ def _sweep_type_fast(
 ) -> int:
     """Sweep all paths of type (m, delta), recording first entries of targets.
 
-    Walks the feasible prefix tree once, in lexicographic order.  Each path's
-    cost is twice its maximal feasible prefix; paths cut off at the same
-    infeasible port are charged in bulk.  A target entered is recorded in
-    visits and removed from targets; once targets is empty the sweep stops
-    and returns the step of that last entry, else the steps after the whole
-    type.  Both match the path-by-path agent exactly.
+    Walks the feasible prefix tree once, in lexicographic order, with one
+    stack frame per prefix: its node, whether it holds port m, its untried
+    ports and its missing ones.  Each path's cost is twice its maximal
+    feasible prefix; paths cut off at the same infeasible port are charged in
+    bulk.  A target entered is recorded in visits and removed from targets;
+    once targets is empty the sweep stops and returns the step of that last
+    entry, else the steps after the whole type.  Both match the path-by-path
+    agent exactly.
     """
-    pow_m = [m ** r for r in range(delta)]
-    pow_m1 = [(m - 1) ** r for r in range(delta)]
     steps = steps_before
     path: List[int] = []
+    stack: List[Tuple[NodeId, bool, Iterator[int], int]] = []
 
-    def dfs(pos: NodeId, depth: int, seen_max: bool) -> bool:
-        """Sweep the subtree below the current prefix; True once targets is empty."""
-        nonlocal steps
-        remaining = delta - depth
-        if remaining == 0:
-            steps += 2 * delta
-            return False
-        low = m if (not seen_max and remaining == 1) else 1
+    def push(pos: NodeId, seen_max: bool) -> None:
+        low = m if not seen_max and len(path) == delta - 1 else 1
         d = g.degree(pos)  # None: every port exists
-        for q in range(low, m + 1):
-            sub_seen = seen_max or q == m
-            if d is not None and q > d:
-                # every member with this prefix breaks off here: 2*depth steps each
-                members = pow_m[remaining - 1] if sub_seen \
-                    else pow_m[remaining - 1] - pow_m1[remaining - 1]
-                steps += 2 * depth * members
-                continue
-            nxt, _ = g.neighbor(pos, q)
-            path.append(q)
-            if nxt in targets:
-                # the first path with this prefix enters nxt on its forward walk
-                visits[nxt] = (steps + depth + 1, (m, delta), tuple(path))
-                targets.discard(nxt)
-                if not targets:
-                    steps += depth + 1
-                    return True
-            if dfs(nxt, depth + 1, sub_seen):
-                return True
-            path.pop()
-        return False
+        high = m if d is None else min(m, d)
+        stack.append((pos, seen_max, iter(range(low, high + 1)), m - max(high, low - 1)))
 
-    dfs(base, 0, m == 1)
+    push(base, m == 1)
+    while stack:
+        pos, seen_max, ports, cut = stack[-1]
+        q = next(ports, 0)
+        if not q:
+            stack.pop()
+            depth = len(path)
+            if cut:
+                # every member through a missing port breaks off here: 2*depth steps each
+                rest = delta - depth - 1
+                members = cut * m ** rest - (0 if seen_max else (cut - 1) * (m - 1) ** rest)
+                steps += 2 * depth * members
+            if path:
+                path.pop()
+            continue
+        nxt = g.neighbor(pos, q)[0]
+        path.append(q)
+        depth = len(path)
+        if nxt in targets:
+            # the first path with this prefix enters nxt on its forward walk
+            visits[nxt] = (steps + depth, (m, delta), tuple(path))
+            targets.discard(nxt)
+            if not targets:
+                return steps + depth
+        if depth == delta:
+            steps += 2 * delta
+            path.pop()
+        else:
+            push(nxt, seen_max or q == m)
     return steps
 
 
@@ -271,17 +275,18 @@ class _Charge:
     (x_lo .. X_y(t), y) before t telescope.
     """
 
-    def __init__(self, ports: PortTable, base: NodeId, top: int, x_lo: int):
-        self._ports, self._base, self._top, self._x_lo = ports, base, top, x_lo
+    def __init__(self, g: PortGraph, base: NodeId, top: int, x_lo: int):
+        self._graph, self._base, self._top, self._x_lo = g, base, top, x_lo
         self._walks: Dict[int, Tuple[Dict[NodeId, int], List[int]]] = {}  # x -> last layer, A_x
 
     def _walk_counts(self, x: int, n: int) -> List[int]:
         """A_x(1) .. A_x(n) (at least), for 1 <= x <= top."""
         layer, counts = self._walks.setdefault(x, ({self._base: 1}, []))
+        row = self._graph.row
         while len(counts) < n:
             nxt: Dict[NodeId, int] = {}
             for v, k in layer.items():
-                for u in self._ports[v][:x]:
+                for u in row(v)[:x]:
                     nxt[u] = nxt.get(u, 0) + k
             layer = nxt
             counts.append(sum(nxt.values()))
@@ -320,18 +325,16 @@ def _first_visits(
     visits: Dict[NodeId, Visit] = {}
     top = g.max_degree()
     bound = sweep_bound(top, mode)
-    ports = PortTable(g)
     lazy = g.nodes() is None
     if lazy:
         stream = types_in_order(mode, bound)
-        charge = None if bound is None else _Charge(ports, base, top, bound + 1)
+        charge = None if bound is None else _Charge(g, base, top, bound + 1)
     else:
-        near = hop_distance(ports, base, targets)
-        if near is None:
+        bounds = entry_bounds(g, base, targets)
+        if bounds is None:
             raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
-        least = least_max_port(ports, base, targets, top)
-        stream = types_in_order(mode, bound, min_port=least, min_length=near)
-        charge = _Charge(ports, base, top, LEAST_PORT[mode])
+        stream = types_in_order(mode, bound, min_port=bounds[0], min_length=bounds[1])
+        charge = _Charge(g, base, top, LEAST_PORT[mode])
     swept = 0  # steps of the swept types a lazy tree's charge leaves out
     for m, delta in stream:
         before = swept + (charge.before((m, delta)) if charge else 0)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -47,6 +48,11 @@ class PortGraph:
         """Largest degree of any node; None if a degree is infinite or unbounded."""
         return None
 
+    def row(self, v: NodeId) -> Tuple[NodeId, ...]:
+        """Node reached by each port p of v at index p - 1 (v of finite degree)."""
+        neighbor = self.neighbor
+        return tuple([neighbor(v, p)[0] for p in range(1, self.degree(v) + 1)])
+
 
 class FiniteGraph(PortGraph):
     """Finite port graph backed by an adjacency dict (node -> port -> (node, port))."""
@@ -79,6 +85,24 @@ class FiniteGraph(PortGraph):
 
     def max_degree(self) -> Optional[int]:
         return self._max_degree
+
+    @cached_property
+    def _rows(self) -> Dict[NodeId, Tuple[NodeId, ...]]:
+        return {v: tuple([ports[p][0] for p in range(1, len(ports) + 1)])
+                for v, ports in self._adj.items()}
+
+    def row(self, v: NodeId) -> Tuple[NodeId, ...]:
+        try:
+            return self._rows[v]
+        except KeyError:
+            raise UnknownNode(f"no node {v!r}") from None
+
+    def relabeled(self, names: Dict[NodeId, NodeId]) -> FiniteGraph:
+        """The same ports with every node v renamed names[v]."""
+        if len({names[v] for v in self._adj}) != len(self._adj):
+            raise ValueError("names is not a bijection")
+        return FiniteGraph({names[v]: {p: (names[u], q) for p, (u, q) in ports.items()}
+                            for v, ports in self._adj.items()})
 
     @property
     def adjacency(self) -> Dict[NodeId, Dict[int, Tuple[NodeId, int]]]:
@@ -143,68 +167,34 @@ def build_finite(spec: FiniteGraphSpec) -> FiniteGraph:
         if not ports or set(ports) != set(range(1, len(ports) + 1)):
             raise InvalidPorts(f"ports at node {v!r} are not exactly 1..deg with deg >= 1: "
                                f"{sorted(ports)}")
-    seen = distances(adj, next(iter(adj)))
+    g = FiniteGraph(adj)
+    seen = distances(g, next(iter(adj)))
     if len(seen) != len(adj):
         raise Disconnected(f"unreachable nodes: {sorted(set(adj) - set(seen))}")
-    return FiniteGraph(adj)
+    return g
 
 
-def distances(adj: Dict[NodeId, Dict[int, Tuple[NodeId, int]]], src: NodeId) -> Dict[NodeId, int]:
+def distances(g: PortGraph, src: NodeId) -> Dict[NodeId, int]:
     """Edge count of a shortest path from src to every node it reaches (BFS)."""
     dist = {src: 0}
     queue = deque([src])
     while queue:
         v = queue.popleft()
-        for (u, _q) in adj[v].values():
+        for u in g.row(v):
             if u not in dist:
                 dist[u] = dist[v] + 1
                 queue.append(u)
     return dist
 
 
-class PortTable:
-    """The neighbors of each node by port, read from the graph on first use.
-
-    The searches below and the hunt's walk counts of one query share one
-    table, so that each reads a node's ports once.  Nodes of finite degree only.
-    """
-
-    def __init__(self, g: PortGraph):
-        self._g = g
-        self._rows: Dict[NodeId, Tuple[NodeId, ...]] = {}
-
-    def __getitem__(self, v: NodeId) -> Tuple[NodeId, ...]:
-        """Node reached by port p of v at index p - 1."""
-        row = self._rows.get(v)
-        if row is None:
-            neighbor = self._g.neighbor
-            row = self._rows[v] = tuple([neighbor(v, p)[0] for p in range(1, self._g.degree(v) + 1)])
-        return row
-
-
-def hop_distance(ports: PortTable, src: NodeId, targets: Set[NodeId]) -> Optional[int]:
-    """Fewest moves from src into a node of targets (src not among them), by
-    BFS; None if no target is reachable."""
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for u in ports[v]:
-            if u not in dist:
-                if u in targets:
-                    return dist[v] + 1
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return None
-
-
-def least_max_port(ports: PortTable, src: NodeId, targets: Set[NodeId], top: int) -> Optional[int]:
+def least_max_port(g: PortGraph, src: NodeId, targets: Set[NodeId]) -> Optional[int]:
     """Least x such that a walk from src over ports <= x enters targets (src
-    not among them); None if no walk over ports <= top does.
+    not among them); None if no walk does.
 
     Bucket search over port numbers: bucket x holds the nodes whose least max
-    port over walks from src is x, and the search stops past bucket top.
+    port over walks from src is x, and the search stops past the max degree.
     """
+    top = g.max_degree()
     best = {src: 0}
     buckets: List[List[NodeId]] = [[src]] + [[] for _ in range(top)]
     for x, bucket in enumerate(buckets):
@@ -214,16 +204,27 @@ def least_max_port(ports: PortTable, src: NodeId, targets: Set[NodeId], top: int
                 continue  # reached later through a smaller max port
             if v in targets:
                 return x
-            row = ports[v]
+            row = g.row(v)
             for u in row[:x]:  # a port <= x keeps the max port at x
                 if best.get(u, x + 1) > x:
                     best[u] = x
                     bucket.append(u)
-            for p, u in enumerate(row[x:top], x + 1):
+            for p, u in enumerate(row[x:], x + 1):
                 if best.get(u, p + 1) > p:
                     best[u] = p
                     buckets[p].append(u)
     return None
+
+
+def entry_bounds(g: PortGraph, src: NodeId, targets: Set[NodeId]) -> Optional[Tuple[int, int]]:
+    """(mu, D) for the walks from src into targets (src not among them): the
+    least max port and the fewest moves of such a walk; None if no target is
+    reachable.  No type (x, y) with x < mu or y < D holds a walk into targets."""
+    least = least_max_port(g, src, targets)
+    if least is None:
+        return None
+    dist = distances(g, src)
+    return least, min(dist[t] for t in targets if t in dist)
 
 
 def from_text(text: str) -> FiniteGraph:
@@ -482,33 +483,3 @@ def validate(
                 )
     return violations
 
-
-class RelabeledGraph(PortGraph):
-    """Bijective node-renaming wrapper, used to test agent anonymity."""
-
-    def __init__(self, base: PortGraph, mapping: Dict[NodeId, NodeId]):
-        self._base = base
-        self._fwd = mapping
-        self._rev = {v: k for k, v in mapping.items()}
-        if len(self._rev) != len(self._fwd):
-            raise ValueError("mapping is not a bijection")
-
-    def _old(self, v: NodeId) -> NodeId:
-        try:
-            return self._rev[v]
-        except KeyError:
-            raise UnknownNode(f"no node {v!r}") from None
-
-    def degree(self, v: NodeId) -> Optional[int]:
-        return self._base.degree(self._old(v))
-
-    def neighbor(self, v: NodeId, p: int) -> Tuple[NodeId, int]:
-        u, q = self._base.neighbor(self._old(v), p)
-        return self._fwd[u], q
-
-    def nodes(self) -> Optional[List[NodeId]]:
-        ns = self._base.nodes()
-        return None if ns is None else [self._fwd[v] for v in ns]
-
-    def max_degree(self) -> Optional[int]:
-        return self._base.max_degree()

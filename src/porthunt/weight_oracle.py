@@ -8,27 +8,20 @@ Every search takes an explicit value cap and fails loudly when it is hit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import CapExceeded, PreconditionError
 from .path_algebra import (
     EnumMode,
     Path,
     PathType,
-    paths_before,
+    index_of_path,
     sweep_bound,
+    type_of,
     types_in_order,
     value,
 )
-from .port_graph import (
-    FiniteGraph,
-    NodeId,
-    PortGraph,
-    PortTable,
-    distances,
-    hop_distance,
-    least_max_port,
-)
+from .port_graph import FiniteGraph, NodeId, PortGraph, distances, entry_bounds
 
 DEFAULT_CAP = 10 ** 6
 
@@ -41,70 +34,58 @@ class WeightResult:
     witness_index: int  # its 1-based position in that order
 
 
-def _search_type(
-    g: PortGraph, u: NodeId, v: NodeId, m: int, delta: int
-) -> Optional[Tuple[Path, int]]:
-    """First full u -> v path of type (m, delta) and its 1-based lex rank.
+def _search_type(g: PortGraph, u: NodeId, v: NodeId, m: int, delta: int) -> Optional[Path]:
+    """First full u -> v path of type (m, delta), or None.
 
-    Depth-first over the feasible prefix tree in lexicographic order;
-    infeasible subtrees are skipped with their member counts added
-    combinatorially, so the returned rank equals the rank under full
-    enumeration.
+    Depth-first over the feasible prefix tree in lexicographic order, with
+    one stack frame per prefix: its node, whether it holds port m and its
+    untried ports, the existing ones up to m.
     """
-    pow_m = [m ** r for r in range(delta)]
-    pow_m1 = [(m - 1) ** r for r in range(delta)]
+    path: List[int] = []
+    stack: List[Tuple[NodeId, bool, Iterator[int]]] = []
 
-    rank = 0
-    path: list = []
-
-    def dfs(pos: NodeId, remaining: int, seen_max: bool) -> bool:
-        nonlocal rank
-        if remaining == 0:
-            rank += 1
-            return pos == v
-        low = m if (not seen_max and remaining == 1) else 1
+    def push(pos: NodeId, seen_max: bool) -> None:
+        low = m if not seen_max and len(path) == delta - 1 else 1
         d = g.degree(pos)  # None: every port exists
-        for q in range(low, m + 1):
-            sub_seen = seen_max or q == m
-            if d is not None and q > d:
-                rank += pow_m[remaining - 1] if sub_seen \
-                    else pow_m[remaining - 1] - pow_m1[remaining - 1]
-                continue
-            nxt, _ = g.neighbor(pos, q)
-            path.append(q)
-            if dfs(nxt, remaining - 1, sub_seen):
-                return True
-            path.pop()
-        return False
+        stack.append((pos, seen_max, iter(range(low, (m if d is None else min(m, d)) + 1))))
 
-    if dfs(u, delta, m == 1):
-        return tuple(path), rank
+    push(u, m == 1)
+    while stack:
+        pos, seen_max, ports = stack[-1]
+        q = next(ports, 0)
+        if not q:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        nxt = g.neighbor(pos, q)[0]
+        path.append(q)
+        if len(path) < delta:
+            push(nxt, seen_max or q == m)
+        elif nxt == v:
+            return tuple(path)
+        else:
+            path.pop()
     return None
 
 
-def _first_connecting(
-    g: PortGraph, u: NodeId, v: NodeId, cap: int, mode: EnumMode
-) -> Tuple[Path, int, PathType, int]:
-    """First full u -> v path in the global order, with its index, type and value."""
+def _first_connecting(g: PortGraph, u: NodeId, v: NodeId, cap: int) -> Path:
+    """First full u -> v path in the FIXED global order."""
     g.degree(v)  # an unknown target raises UnknownNode here instead of CapExceeded at the cap
     # only types with max port at most the max degree hold a full path and, on
     # a finite graph, only those whose max port and length admit a walk into v
-    top = g.max_degree()
-    least, near = 1, 1
-    if g.nodes() is not None:
-        ports = PortTable(g)
-        near = hop_distance(ports, u, {v})
-        if near is None:
+    bounds = (1, 1) if g.nodes() is None else entry_bounds(g, u, {v})
+    if bounds is None:
+        raise CapExceeded(f"no path {u!r} -> {v!r} of value <= {cap}")
+    mode = EnumMode.FIXED
+    stream = types_in_order(mode, sweep_bound(g.max_degree(), mode),
+                            min_port=bounds[0], min_length=bounds[1])
+    for m, delta in stream:
+        if value(m, delta) > cap:
             raise CapExceeded(f"no path {u!r} -> {v!r} of value <= {cap}")
-        least = least_max_port(ports, u, {v}, top)
-    for m, delta in types_in_order(mode, sweep_bound(top, mode), min_port=least, min_length=near):
-        val = value(m, delta)
-        if val > cap:
-            raise CapExceeded(f"no path {u!r} -> {v!r} of value <= {cap}")
-        found = _search_type(g, u, v, m, delta)
-        if found is not None:
-            path, rank = found
-            return path, paths_before((m, delta), mode) + rank, (m, delta), val
+        path = _search_type(g, u, v, m, delta)
+        if path is not None:
+            return path
     raise AssertionError("unreachable")
 
 
@@ -116,8 +97,10 @@ def character_weight(
         raise PreconditionError("character is defined for distinct nodes")
     if cap < 2:
         raise PreconditionError("cap must be >= 2")
-    path, index, ptype, val = _first_connecting(g, u, v, cap, EnumMode.FIXED)
-    return WeightResult(character=ptype, weight=val, witness=path, witness_index=index)
+    path = _first_connecting(g, u, v, cap)
+    ptype = type_of(path)
+    return WeightResult(character=ptype, weight=value(*ptype), witness=path,
+                        witness_index=index_of_path(path))
 
 
 def big_weight(g: PortGraph, v1: NodeId, v2: NodeId, cap: int = DEFAULT_CAP) -> int:
@@ -134,8 +117,8 @@ def critical_path(
     """First v1 -> v2 path in the global FIXED order and its 1-based index."""
     if v1 == v2:
         raise PreconditionError("critical path is defined for distinct nodes")
-    path, index, _ptype, _val = _first_connecting(g, v1, v2, cap, EnumMode.FIXED)
-    return path, index
+    path = _first_connecting(g, v1, v2, cap)
+    return path, index_of_path(path)
 
 
 def bp_lex_shortest_path(g: FiniteGraph, v1: NodeId, v2: NodeId) -> Path:
@@ -147,16 +130,14 @@ def bp_lex_shortest_path(g: FiniteGraph, v1: NodeId, v2: NodeId) -> Path:
     """
     if v1 == v2:
         return ()
-    dist = distances(g.adjacency, v2)
+    dist = distances(g, v2)
     if v1 not in dist:
         raise PreconditionError(f"{v2!r} unreachable from {v1!r}")
     ports = []
     pos = v1
     while pos != v2:
-        step = min(
-            p for p, (y, _q) in sorted(g.adjacency[pos].items())
-            if dist.get(y, -1) == dist[pos] - 1
-        )
+        row = g.row(pos)
+        step = next(p for p, y in enumerate(row, 1) if dist[y] == dist[pos] - 1)
         ports.append(step)
-        pos, _ = g.neighbor(pos, step)
+        pos = row[step - 1]
     return tuple(ports)

@@ -28,7 +28,6 @@ from porthunt.path_algebra import (
     value,
 )
 from porthunt.port_graph import (
-    RelabeledGraph,
     TreeOmega,
     TreeRegular,
     builtin,
@@ -210,7 +209,7 @@ def test_criterion_10_structural_properties(criterion):
     for g in hunt_battery(count=5):
         ns = sorted(g.nodes())
         mapping = {v: f"renamed-{v}" for v in g.nodes()}
-        rg = RelabeledGraph(g, mapping)
+        rg = g.relabeled(mapping)
         ok = ok and not validate(rg)
         r1 = run_uth(g, ns[0], ns[-1])
         r2 = run_uth(rg, mapping[ns[0]], mapping[ns[-1]])

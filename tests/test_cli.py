@@ -315,3 +315,22 @@ def test_node_without_ports_is_bad_input(tmp_path):
     assert main(["bench", "--suite", suite, "--out", out]) == EXIT_FAIL
     rows = list(csv.reader(open(out)))[1:]
     assert [(r[2], r[-1]) for r in rows] == [("InvalidPorts", "fail"), ("1", "pass")]
+
+
+_DEEP_WEIGHT = ["weight", "--graph", "ring:2048", "--from", "0", "--to", "1024"]
+_DEEP_HUNT = ["hunt", "--graph", "ring:2048", "--base", "0", "--treasure", "1024"]
+_HUGE = str(10 ** 700)
+
+
+@pytest.mark.parametrize("args,code", [
+    (_DEEP_WEIGHT + ["--cap", _HUGE], EXIT_OK),
+    (_DEEP_HUNT + ["--cap", _HUGE, "--max-steps", _HUGE], EXIT_OK),
+    (_DEEP_WEIGHT + ["--cap", "1000"], EXIT_BUDGET),
+    (_DEEP_HUNT + ["--cap", "1000", "--max-steps", _HUGE], EXIT_BUDGET),
+], ids=["weight", "hunt", "weight-cap", "hunt-cap"])
+def test_query_deeper_than_the_recursion_limit(args, code):
+    """The character (1, 1024) of ring:2048 is deeper than Python's default
+    limit of 1,000 frames; the prefix-tree searches keep their own stacks."""
+    proc = _run_cli(*args)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -12,7 +12,6 @@ from porthunt.hunt_engine import (
 )
 from porthunt.path_algebra import EnumMode
 from porthunt.port_graph import (
-    RelabeledGraph,
     TreeOmega,
     builtin,
     from_text,
@@ -171,7 +170,7 @@ def test_hunt_is_anonymous_under_relabeling():
     g = builtin("random_tree", [8, 5])
     ns = sorted(g.nodes())
     mapping = {v: f"x{v}" for v in g.nodes()}
-    rg = RelabeledGraph(g, mapping)
+    rg = g.relabeled(mapping)
     r1, rows1 = _traced_run(g, ns[0], ns[-1])
     r2, rows2 = _traced_run(rg, mapping[ns[0]], mapping[ns[-1]])
     assert rows1 == rows2  # trace rows carry no node names

@@ -16,7 +16,6 @@ from porthunt.errors import (
 )
 from porthunt.port_graph import (
     FiniteGraph,
-    RelabeledGraph,
     TreeOmega,
     TreeRegular,
     builtin,
@@ -121,10 +120,8 @@ def test_degree_contract():
         assert g.degree(tree_node(d, d - 1, d - 1)) == d  # depth 3, last child at each level
     assert TreeOmega().degree(tree_node(9, 9, 9)) is None
     ring = builtin("ring", [5])
-    relabeled = RelabeledGraph(ring, {v: "n" + v for v in ring.nodes()})
+    relabeled = ring.relabeled({v: "n" + v for v in ring.nodes()})
     assert relabeled.degree("n3") == 2 and relabeled.max_degree() == 2
-    omega = RelabeledGraph(TreeOmega(), {tree_node(): "root"})
-    assert omega.degree("root") is None and omega.max_degree() is None
     for g in (TreeRegular(3), TreeOmega()):
         with pytest.raises(NoSuchPort):
             g.neighbor(tree_node(1), 0)
@@ -268,11 +265,13 @@ def test_random_battery_graphs_validate(seed):
 def test_relabeled_graph_is_same_structure():
     g = builtin("ring", [4])
     mapping = {v: f"n{v}" for v in g.nodes()}
-    rg = RelabeledGraph(g, mapping)
+    rg = g.relabeled(mapping)
     assert not validate(rg)
     assert rg.neighbor("n0", 1) == ("n1", 2)
     with pytest.raises(UnknownNode):
         rg.degree("0")
+    with pytest.raises(ValueError):
+        g.relabeled(dict(mapping, **{"1": "n0"}))  # two nodes named n0
 
 
 def test_neighbor_is_deterministic():

@@ -32,13 +32,10 @@ from porthunt.path_algebra import (
 )
 from porthunt.port_graph import (
     FiniteGraph,
-    PortTable,
-    RelabeledGraph,
     TreeOmega,
     TreeRegular,
     builtin,
-    hop_distance,
-    least_max_port,
+    entry_bounds,
     truncated_tree_omega,
     two_node,
 )
@@ -118,7 +115,7 @@ def test_run_charge_equals_the_sweeps_of_its_types(name, g):
     the sweeps of every earlier type."""
     for mode in MODES:
         for base in g.nodes()[:2]:
-            charge = _Charge(PortTable(g), base, g.max_degree(), LEAST_PORT[mode])
+            charge = _Charge(g, base, g.max_degree(), LEAST_PORT[mode])
             swept = 0
             for m, delta in itertools.islice(types_in_order(mode), 300):
                 assert charge.before((m, delta)) == swept
@@ -149,17 +146,28 @@ def _bounds_by_brute_force(g, base, target):
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
+def test_row_lists_the_neighbor_of_each_port(name, g):
+    for v in g.nodes():
+        row = g.row(v)
+        assert len(row) == g.degree(v)
+        assert all(row[p - 1] == g.neighbor(v, p)[0] for p in range(1, len(row) + 1))
+
+
+def test_row_of_a_lazy_tree_is_derived_from_neighbor():
+    g = TreeRegular(3)
+    for v in ("r", "r/2", "r/3/2", "r/1/1/2"):
+        assert g.row(v) == tuple(g.neighbor(v, p)[0] for p in (1, 2, 3))
+
+
+@pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
 def test_entry_bounds_match_brute_force(name, g):
-    top = g.max_degree()
     for b in g.nodes():
         found = {t: _bounds_by_brute_force(g, b, t) for t in g.nodes() if t != b}
-        for t, bounds in found.items():
-            ports = PortTable(g)
-            assert (hop_distance(ports, b, {t}), least_max_port(ports, b, {t}, top)) == bounds
+        for t, (near, least) in found.items():
+            assert entry_bounds(g, b, {t}) == (least, near)
         # a set's bounds are the least over its members, each taken on its own
-        ports = PortTable(g)
-        assert hop_distance(ports, b, set(found)) == min(d for d, _ in found.values())
-        assert least_max_port(ports, b, set(found), top) == min(x for _, x in found.values())
+        assert entry_bounds(g, b, set(found)) == (min(x for _, x in found.values()),
+                                                  min(d for d, _ in found.values()))
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
@@ -220,12 +228,10 @@ def test_max_degree_and_sweep_bound():
     assert builtin("complete", [5]).max_degree() == 4
     assert truncated_tree_omega(2, 12).max_degree() == 12
     ring = builtin("ring", [6])
-    assert RelabeledGraph(ring, {v: "x" + v for v in ring.nodes()}).max_degree() == 2
-    for lazy in (TreeOmega(), RelabeledGraph(TreeOmega(), {"r": "root"})):
-        assert lazy.max_degree() is None
+    assert ring.relabeled({v: "x" + v for v in ring.nodes()}).max_degree() == 2
+    assert TreeOmega().max_degree() is None
     for d in (1, 2, 3, 7):
         assert TreeRegular(d).max_degree() == d
-    assert RelabeledGraph(TreeRegular(3), {"r": "root"}).max_degree() == 3
     assert sweep_bound(None, EnumMode.FIXED) is None
     assert sweep_bound(1, EnumMode.FIXED) == 1
     assert sweep_bound(1, EnumMode.STRICT) is None  # the two-node graph hits in (2, 2)
@@ -274,9 +280,9 @@ def test_criterion_3_work_is_pinned(monkeypatch):
     # only the types between the entry bounds and the max degree are swept
     assert counts == {hunt_engine.__name__: 1936, weight_oracle.__name__: 1936}
     assert steps == 153544
-    # one degree read per expanded prefix-tree node and per node of a query's
-    # port table, not one per probed port
-    assert nav == {"degree": 41272, "neighbor": 89129}
+    # one degree read per expanded prefix-tree node and one neighbor call per
+    # prefix-tree edge; the entry bounds and the charges read the graph's rows
+    assert nav == {"degree": 13434, "neighbor": 13446}
 
 
 def test_ring_cliff_is_gone():
