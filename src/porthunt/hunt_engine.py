@@ -22,7 +22,7 @@ from .path_algebra import (
     types_in_order,
     value,
 )
-from .port_graph import NodeId, PortGraph, entry_bounds
+from .port_graph import NodeId, PortGraph
 
 TraceRow = Tuple[int, int, int, int, str, int, str]
 # step, phase_value, type_m, type_delta, action, port, result
@@ -208,6 +208,7 @@ def _sweep_type_fast(
     delta: int,
     steps_before: int,
     visits: Dict[NodeId, Visit],
+    max_steps: int,
 ) -> int:
     """Sweep all paths of type (m, delta), recording first entries of targets.
 
@@ -218,7 +219,8 @@ def _sweep_type_fast(
     bulk.  A target entered is recorded in visits and removed from targets;
     once targets is empty the sweep stops and returns the step of that last
     entry, else the steps after the whole type.  Both match the path-by-path
-    agent exactly.
+    agent exactly.  Raises StepBudgetExceeded at a first entry beyond
+    max_steps, and at the end of any frame once the count passes it.
     """
     steps = steps_before
     path: List[int] = []
@@ -242,6 +244,8 @@ def _sweep_type_fast(
                 rest = delta - depth - 1
                 members = cut * m ** rest - (0 if seen_max else (cut - 1) * (m - 1) ** rest)
                 steps += 2 * depth * members
+            if steps > max_steps:
+                raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
             if path:
                 path.pop()
             continue
@@ -250,6 +254,8 @@ def _sweep_type_fast(
         depth = len(path)
         if nxt in targets:
             # the first path with this prefix enters nxt on its forward walk
+            if steps + depth > max_steps:
+                raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
             visits[nxt] = (steps + depth, (m, delta), tuple(path))
             targets.discard(nxt)
             if not targets:
@@ -267,37 +273,29 @@ class _Charge:
     least x_lo, in closed form.
 
     A path's sweep costs twice its feasible prefix, and A_x(l) * x**(y-l)
-    paths of {1..x}**y start with a feasible walk of length l, where A_x(l)
-    counts the feasible port walks of length l from the base with ports <= x
-    (A_x = A_top for x >= top, the max degree).  So sweeping all of
-    {1..x}**y costs 2 * G_x(y), G_x(y) = sum_{l=1}^{y} A_x(l) * x**(y-l),
+    paths of {1..x}**y start with a feasible walk of length l, where A_x(l),
+    the graph's walk_counts, counts the port walks of length l from the base
+    with ports <= x (A_x = A_top for x >= top, the max degree).  So sweeping
+    all of {1..x}**y costs 2 * G_x(y), G_x(y) = sum_{l=1}^{y} A_x(l) * x**(y-l),
     type (x, y) costs 2 * (G_x(y) - G_{x-1}(y)), and per length y the types
     (x_lo .. X_y(t), y) before t telescope.
     """
 
-    def __init__(self, g: PortGraph, base: NodeId, top: int, x_lo: int):
-        self._graph, self._base, self._top, self._x_lo = g, base, top, x_lo
-        self._walks: Dict[int, Tuple[Dict[NodeId, int], List[int]]] = {}  # x -> last layer, A_x
-
-    def _walk_counts(self, x: int, n: int) -> List[int]:
-        """A_x(1) .. A_x(n) (at least), for 1 <= x <= top."""
-        layer, counts = self._walks.setdefault(x, ({self._base: 1}, []))
-        row = self._graph.row
-        while len(counts) < n:
-            nxt: Dict[NodeId, int] = {}
-            for v, k in layer.items():
-                for u in row(v)[:x]:
-                    nxt[u] = nxt.get(u, 0) + k
-            layer = nxt
-            counts.append(sum(nxt.values()))
-        self._walks[x] = layer, counts
-        return counts
+    def __init__(self, g: PortGraph, base: NodeId, x_lo: int):
+        self._graph, self._base, self._top, self._x_lo = g, base, g.max_degree(), x_lo
+        self._walks: Dict[int, Tuple[Iterator[int], List[int]]] = {}  # min(x, top) -> A_x, its terms
 
     def _g(self, x: int, y: int) -> int:
         if x == 0:
             return 0
+        w = x if self._top is None else min(x, self._top)
+        if w not in self._walks:
+            self._walks[w] = self._graph.walk_counts(self._base, w), []
+        stream, counts = self._walks[w]
+        while len(counts) < y:
+            counts.append(next(stream))
         total = 0
-        for a in self._walk_counts(min(x, self._top), y)[:y]:
+        for a in counts[:y]:
             total = total * x + a
         return total
 
@@ -313,40 +311,26 @@ def _first_visits(
 
     Sweeps in order only the types that can enter a target and charges every
     earlier type in closed form, then stops right after the sweep that
-    empties the set.  On a finite graph those are the types (x, y) with x at
-    least the least max port and y at least the hop distance of a walk into
-    the set, and with x at most the max degree: any prefix entering a node
-    within a type of larger max port is itself (in STRICT mode, followed by
-    port 2) a path of a smaller type.  A lazy tree sweeps every type up to
-    its max degree.  Raises StepBudgetExceeded as soon as the steps before a
-    type exceed max_steps, once a type ends with targets left beyond it, when
-    a first entry lies beyond it, or at once if no target is reachable.
+    empties the set.  Those are the types (x, y) with x at least the least
+    max port and y at least the hop distance of a walk into the set (the
+    graph's entry_bounds), and with x at most the max degree: any prefix
+    entering a node within a type of larger max port is itself (in STRICT
+    mode, followed by port 2) a path of a smaller type.  Raises
+    StepBudgetExceeded inside the sweep once the steps pass max_steps with
+    targets left, when a first entry lies beyond it, or at once if no target
+    is reachable.
     """
+    bounds = g.entry_bounds(base, targets)
+    if bounds is None:
+        raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
     visits: Dict[NodeId, Visit] = {}
-    top = g.max_degree()
-    bound = sweep_bound(top, mode)
-    lazy = g.nodes() is None
-    if lazy:
-        stream = types_in_order(mode, bound)
-        charge = None if bound is None else _Charge(g, base, top, bound + 1)
-    else:
-        bounds = entry_bounds(g, base, targets)
-        if bounds is None:
-            raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
-        stream = types_in_order(mode, bound, min_port=bounds[0], min_length=bounds[1])
-        charge = _Charge(g, base, top, LEAST_PORT[mode])
-    swept = 0  # steps of the swept types a lazy tree's charge leaves out
+    charge = _Charge(g, base, LEAST_PORT[mode])
+    stream = types_in_order(mode, sweep_bound(g.max_degree(), mode),
+                            min_port=bounds[0], min_length=bounds[1])
     for m, delta in stream:
-        before = swept + (charge.before((m, delta)) if charge else 0)
-        if before > max_steps:
-            raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
-        steps = _sweep_type_fast(g, base, targets, m, delta, before, visits)
-        if steps > max_steps:
-            raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
+        _sweep_type_fast(g, base, targets, m, delta, charge.before((m, delta)), visits, max_steps)
         if not targets:
             return visits
-        if lazy:
-            swept += steps - before
     raise AssertionError("unreachable")
 
 
@@ -365,6 +349,8 @@ def first_visit_times(
     """
     _check_budget(max_steps)
     remaining = set(targets)
+    for t in remaining:
+        g.degree(t)  # raises UnknownNode for a bad target
     visits = {base: 0} if base in remaining else {}
     remaining.discard(base)
     if remaining:

@@ -124,9 +124,10 @@ def last_x_by_length(t: PathType, x_min: int) -> Iterator[Tuple[int, int]]:
     """(y, X_y(t)) for each length y whose type (x_min, y) precedes t, where
     X_y(t) is the largest x with (value(x, y), x, y) < (value(t), t)."""
     v, y = value(*t), 1
-    while (value(x_min, y), x_min, y) < (v,) + t:
-        x = _iroot(v // (y << y), y)
-        yield y, x - 1 if value(x, y) == v and (x, y) >= t else x
+    key = (v,) + t
+    while ((scale := y << y) * x_min ** y, x_min, y) < key:  # value(x, y) = scale * x**y
+        x = _iroot(v // scale, y)
+        yield y, x - 1 if scale * x ** y == v and (x, y) >= t else x
         y += 1
 
 

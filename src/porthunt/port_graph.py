@@ -15,7 +15,8 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import count
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     BadParams,
@@ -48,10 +49,16 @@ class PortGraph:
         """Largest degree of any node; None if a degree is infinite or unbounded."""
         return None
 
-    def row(self, v: NodeId) -> Tuple[NodeId, ...]:
-        """Node reached by each port p of v at index p - 1 (v of finite degree)."""
-        neighbor = self.neighbor
-        return tuple([neighbor(v, p)[0] for p in range(1, self.degree(v) + 1)])
+    def entry_bounds(self, src: NodeId, targets: Set[NodeId]) -> Optional[Tuple[int, int]]:
+        """(mu, D) for the walks from src into targets (src not among them): the
+        least max port and the fewest moves of such a walk; None if no target is
+        reachable.  No type (x, y) with x < mu or y < D holds a walk into targets."""
+        raise NotImplementedError
+
+    def walk_counts(self, src: NodeId, x: int) -> Iterator[int]:
+        """A_x(1), A_x(2), ...: the number of port walks from src of each length
+        whose ports are all at most x."""
+        raise NotImplementedError
 
 
 class FiniteGraph(PortGraph):
@@ -96,6 +103,24 @@ class FiniteGraph(PortGraph):
             return self._rows[v]
         except KeyError:
             raise UnknownNode(f"no node {v!r}") from None
+
+    def entry_bounds(self, src: NodeId, targets: Set[NodeId]) -> Optional[Tuple[int, int]]:
+        least = least_max_port(self, src, targets)
+        if least is None:
+            return None
+        dist = distances(self, src)
+        return least, min(dist[t] for t in targets if t in dist)
+
+    def walk_counts(self, src: NodeId, x: int) -> Iterator[int]:
+        rows = self._rows
+        layer = {src: 1}
+        while True:
+            nxt: Dict[NodeId, int] = {}
+            for v, k in layer.items():
+                for u in rows[v][:x]:
+                    nxt[u] = nxt.get(u, 0) + k
+            layer = nxt
+            yield sum(nxt.values())
 
     def relabeled(self, names: Dict[NodeId, NodeId]) -> FiniteGraph:
         """The same ports with every node v renamed names[v]."""
@@ -174,7 +199,7 @@ def build_finite(spec: FiniteGraphSpec) -> FiniteGraph:
     return g
 
 
-def distances(g: PortGraph, src: NodeId) -> Dict[NodeId, int]:
+def distances(g: FiniteGraph, src: NodeId) -> Dict[NodeId, int]:
     """Edge count of a shortest path from src to every node it reaches (BFS)."""
     dist = {src: 0}
     queue = deque([src])
@@ -187,7 +212,7 @@ def distances(g: PortGraph, src: NodeId) -> Dict[NodeId, int]:
     return dist
 
 
-def least_max_port(g: PortGraph, src: NodeId, targets: Set[NodeId]) -> Optional[int]:
+def least_max_port(g: FiniteGraph, src: NodeId, targets: Set[NodeId]) -> Optional[int]:
     """Least x such that a walk from src over ports <= x enters targets (src
     not among them); None if no walk does.
 
@@ -214,17 +239,6 @@ def least_max_port(g: PortGraph, src: NodeId, targets: Set[NodeId]) -> Optional[
                     best[u] = p
                     buckets[p].append(u)
     return None
-
-
-def entry_bounds(g: PortGraph, src: NodeId, targets: Set[NodeId]) -> Optional[Tuple[int, int]]:
-    """(mu, D) for the walks from src into targets (src not among them): the
-    least max port and the fewest moves of such a walk; None if no target is
-    reachable.  No type (x, y) with x < mu or y < D holds a walk into targets."""
-    least = least_max_port(g, src, targets)
-    if least is None:
-        return None
-    dist = distances(g, src)
-    return least, min(dist[t] for t in targets if t in dist)
 
 
 def from_text(text: str) -> FiniteGraph:
@@ -301,6 +315,24 @@ class _LazyTree(PortGraph):
             result = _address(addr + (child_index,)), 1
         self._materialized.update((v, result[0]))
         return result
+
+    def entry_bounds(self, src: NodeId, targets: Set[NodeId]) -> Tuple[int, int]:
+        """In closed form: every walk into t crosses each edge of the src -> t
+        geodesic in its direction, through the same port, so mu is the largest
+        port on the geodesic (1 up, k down to the root's k-th child, k + 1 down
+        to any other k-th child) and D is its length."""
+        a = self._validated(src)
+        geodesics = []
+        for b in map(self._validated, targets):
+            # up from src to the common ancestor at depth j, then down to t
+            j = next((i for i, (p, q) in enumerate(zip(a, b)) if p != q), min(len(a), len(b)))
+            geodesics.append([1] * (len(a) - j) + [k + (i > 0) for i, k in enumerate(b[j:], j)])
+        return min(map(max, geodesics)), min(map(len, geodesics))
+
+    def walk_counts(self, src: NodeId, x: int) -> Iterator[int]:
+        """Every node has the ports 1..d, so A_x(l) = min(x, d)**l."""
+        w = x if self.d is None else min(x, self.d)
+        return (w ** l for l in count(1))
 
     @property
     def materialized_count(self) -> int:

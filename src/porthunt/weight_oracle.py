@@ -21,7 +21,7 @@ from .path_algebra import (
     types_in_order,
     value,
 )
-from .port_graph import FiniteGraph, NodeId, PortGraph, distances, entry_bounds
+from .port_graph import FiniteGraph, NodeId, PortGraph, distances
 
 DEFAULT_CAP = 10 ** 6
 
@@ -72,9 +72,8 @@ def _search_type(g: PortGraph, u: NodeId, v: NodeId, m: int, delta: int) -> Opti
 def _first_connecting(g: PortGraph, u: NodeId, v: NodeId, cap: int) -> Path:
     """First full u -> v path in the FIXED global order."""
     g.degree(v)  # an unknown target raises UnknownNode here instead of CapExceeded at the cap
-    # only types with max port at most the max degree hold a full path and, on
-    # a finite graph, only those whose max port and length admit a walk into v
-    bounds = (1, 1) if g.nodes() is None else entry_bounds(g, u, {v})
+    # only types with max port in mu..max degree and length >= D hold a full path
+    bounds = g.entry_bounds(u, {v})
     if bounds is None:
         raise CapExceeded(f"no path {u!r} -> {v!r} of value <= {cap}")
     mode = EnumMode.FIXED

@@ -13,6 +13,7 @@ from porthunt.hunt_engine import (
 from porthunt.path_algebra import EnumMode
 from porthunt.port_graph import (
     TreeOmega,
+    TreeRegular,
     builtin,
     from_text,
     tree_node,
@@ -226,6 +227,32 @@ def test_first_visit_times_budget_matches_the_hunt():
             for M in (s_t - 1, s_t):
                 assert _raises(first_visit_times, g, ns[0], [t], EnumMode.FIXED, M) == \
                     _raises(run_uth, g, ns[0], t, HuntConfig(max_steps=M))
+
+
+def test_budget_stops_the_sweep_inside_a_type(monkeypatch):
+    """1,302,328 steps precede type (3, 9), whose sweep takes over 50,000
+    neighbor calls; ten steps more of budget stop it within a few frames."""
+    calls = []
+    neighbor = TreeRegular.neighbor
+
+    def counted(g, v, p):
+        calls.append(v)
+        return neighbor(g, v, p)
+    monkeypatch.setattr(TreeRegular, "neighbor", counted)
+    treasure = "r/3" + "/2" * 8
+    with pytest.raises(StepBudgetExceeded):
+        run_uth(TreeRegular(3), "r", treasure, HuntConfig(max_steps=1_302_338))
+    assert len(calls) < 1000
+    r = run_uth(TreeRegular(3), "r", treasure, HuntConfig(max_steps=1_647_397))
+    assert (r.steps, r.found_type, r.visit_prefix) == (1647397, (3, 9), (3,) * 9)
+
+
+@pytest.mark.parametrize("g,base,target", [(builtin("ring", [5]), "0", "nope"),
+                                           (TreeRegular(3), "r", "r/9")],
+                         ids=["ring:5", "tree_regular:3"])
+def test_first_visit_times_rejects_an_unknown_target(g, base, target):
+    with pytest.raises(UnknownNode):
+        first_visit_times(g, base, [base, target])
 
 
 @pytest.mark.parametrize("max_steps", [0, -3])

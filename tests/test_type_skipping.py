@@ -1,13 +1,14 @@
 """Type skipping, cross-checked against sweeping every type.
 
 The hunt and the oracle sweep only the types whose max port is at most the
-graph's max degree and, on a finite graph, at least the least max port of a
-walk into the target, with length at least its hop distance; the hunt charges
-every earlier type in closed form.  The references here sweep or count every
-type, as the engines did before.
+graph's max degree and at least the least max port of a walk into the target,
+with length at least its hop distance (the graph's entry bounds; closed forms
+on a lazy tree); the hunt charges every earlier type in closed form.  The
+references here sweep or count every type, as the engines did before.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -35,13 +36,13 @@ from porthunt.port_graph import (
     TreeOmega,
     TreeRegular,
     builtin,
-    entry_bounds,
     truncated_tree_omega,
     two_node,
 )
 from porthunt.weight_oracle import character_weight
 
 MODES = [EnumMode.FIXED, EnumMode.STRICT]
+NO_BUDGET = math.inf
 
 
 def _graphs():
@@ -63,7 +64,7 @@ def _reference_first_visits(g, base, targets, mode):
     for m, delta in types_in_order(mode):
         if not targets:
             break
-        steps = _sweep_type_fast(g, base, targets, m, delta, steps, visits)
+        steps = _sweep_type_fast(g, base, targets, m, delta, steps, visits, NO_BUDGET)
     return {base: 0, **{v: s for v, (s, _, _) in visits.items()}}
 
 
@@ -90,23 +91,98 @@ def test_skipping_driver_matches_sweeping_every_type(name, g, mode):
             assert s == 1 or _raises(g, base, t, mode, s - 1)
 
 
-TREE_HUNTS = [(1, "r/1"), (2, "r/2/1/1/1"), (3, "r/1/2"), (3, "r/3/2/2"), (4, "r/4/3/2")]
+def _lazy_tree(d):
+    return TreeOmega() if d is None else TreeRegular(d)
+
+
+# (d, base, treasure); d None is tree_omega
+TREE_HUNTS = [
+    (1, "r", "r/1"), (2, "r", "r/2/1/1/1"), (3, "r", "r/1/2"), (3, "r", "r/3/2/2"),
+    (4, "r", "r/4/3/2"), (3, "r/2/1", "r"), (2, "r/1/1/1", "r/1/1"), (4, "r/2/2", "r/4/3"),
+    (None, "r", "r/3/2"), (None, "r/2/7", "r/2/1/3"), (None, "r/4", "r/1/1"),
+]
+
+
+def _hunt_id(d, base, treasure):
+    return f"{d or 'omega'}:" + (treasure if base == "r" else f"{base}->{treasure}")
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
-@pytest.mark.parametrize("d,treasure", TREE_HUNTS, ids=[f"{d}:{t}" for d, t in TREE_HUNTS])
-def test_skipping_on_tree_regular_matches_sweeping_every_type(d, treasure, mode):
-    g = TreeRegular(d)
+@pytest.mark.parametrize("d,base,treasure", TREE_HUNTS, ids=[_hunt_id(*h) for h in TREE_HUNTS])
+def test_skipping_on_tree_regular_matches_sweeping_every_type(d, base, treasure, mode):
+    g = _lazy_tree(d)
     visits = {}
     steps = 0
     for m, delta in types_in_order(mode):
-        steps = _sweep_type_fast(g, "r", {treasure}, m, delta, steps, visits)
+        steps = _sweep_type_fast(g, base, {treasure}, m, delta, steps, visits, NO_BUDGET)
         if visits:
             break
     s, ptype, prefix = visits[treasure]
-    r = run_uth(g, "r", treasure, HuntConfig(mode=mode, max_steps=s))
+    r = run_uth(g, base, treasure, HuntConfig(mode=mode, max_steps=s))
     assert (r.steps, r.found_type, r.visit_prefix) == (s, ptype, prefix)
-    assert s == 1 or _raises(g, "r", treasure, mode, s - 1)
+    assert s == 1 or _raises(g, base, treasure, mode, s - 1)
+    assert character_weight(_lazy_tree(d), base, treasure).witness == \
+        _first_path_searching_every_type(g, base, treasure)
+
+
+def _first_path_searching_every_type(g, base, treasure):
+    """First full base -> treasure path in the FIXED global order."""
+    for m, delta in types_in_order(EnumMode.FIXED):
+        path = weight_oracle._search_type(g, base, treasure, m, delta)
+        if path is not None:
+            return path
+
+
+# hunt (steps, type, prefix) in FIXED and STRICT mode, and the oracle's
+# (character, weight, witness index), as sweeping every type gives them
+LAZY_PINS = [
+    (None, "r", "r/6/5/6/5",
+     (286006, (7, 4), (6, 6, 7, 6)), (285824, (7, 4), (6, 6, 7, 6)), ((7, 4), 153664, 104156)),
+    (None, "r/3/3", "r/9",
+     (31481, (9, 3), (1, 1, 9)), (31371, (9, 3), (1, 1, 9)), ((9, 3), 17496, 11669)),
+    (4, "r/2/2", "r/4/3/3/3/3",
+     (523095, (4, 7), (1, 1, 4, 4, 4, 4, 4)), (522715, (4, 7), (1, 1, 4, 4, 4, 4, 4)),
+     ((4, 7), 14680064, 10046280)),
+]
+
+
+@pytest.mark.parametrize("d,base,treasure,fixed,strict,oracle", LAZY_PINS,
+                         ids=[_hunt_id(*p[:3]) for p in LAZY_PINS])
+def test_lazy_tree_queries_are_pinned(d, base, treasure, fixed, strict, oracle):
+    for mode, expected in ((EnumMode.FIXED, fixed), (EnumMode.STRICT, strict)):
+        r = run_uth(_lazy_tree(d), base, treasure, HuntConfig(mode=mode, max_steps=10 ** 9))
+        assert (r.steps, r.found_type, r.visit_prefix) == expected
+    o = character_weight(_lazy_tree(d), base, treasure, cap=10 ** 9)
+    assert (o.character, o.weight, o.witness_index) == oracle
+
+
+def _closed_form_cases():
+    out = [(f"tree_regular:{d}", TreeRegular(d), truncated_tree_omega(k, d), d + 1)
+           for d, k in ((1, 4), (2, 4), (3, 4), (4, 3))]
+    out += [(f"tree_omega:{p}", TreeOmega(), truncated_tree_omega(k, p), p)
+            for p, k in ((4, 3), (6, 2))]
+    return out
+
+
+CLOSED_FORM_CASES = _closed_form_cases()
+
+
+@pytest.mark.parametrize("name,tree,cap,max_x", CLOSED_FORM_CASES,
+                         ids=[c[0] for c in CLOSED_FORM_CASES])
+def test_lazy_tree_closed_forms_match_the_finite_cap(name, tree, cap, max_x):
+    """A finite cap of the same depth names its nodes as the tree does, and
+    agrees with it on the entry bounds of every pair and on the walk counts
+    that stay above its leaves; tree_omega only over ports up to the cap's."""
+    depth = max(v.count("/") for v in cap.nodes())
+    for b in cap.nodes():
+        others = set(cap.nodes()) - {b}
+        for t in others:
+            assert tree.entry_bounds(b, {t}) == cap.entry_bounds(b, {t}), (b, t)
+        assert tree.entry_bounds(b, others) == cap.entry_bounds(b, others), b
+        n = depth - b.count("/")
+        for x in range(1, max_x + 1):
+            expected = list(itertools.islice(cap.walk_counts(b, x), n))
+            assert list(itertools.islice(tree.walk_counts(b, x), n)) == expected, (b, x)
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
@@ -115,11 +191,11 @@ def test_run_charge_equals_the_sweeps_of_its_types(name, g):
     the sweeps of every earlier type."""
     for mode in MODES:
         for base in g.nodes()[:2]:
-            charge = _Charge(g, base, g.max_degree(), LEAST_PORT[mode])
+            charge = _Charge(g, base, LEAST_PORT[mode])
             swept = 0
             for m, delta in itertools.islice(types_in_order(mode), 300):
                 assert charge.before((m, delta)) == swept
-                swept = _sweep_type_fast(g, base, set(), m, delta, swept, {})
+                swept = _sweep_type_fast(g, base, set(), m, delta, swept, {}, NO_BUDGET)
 
 
 def _distances_over_ports(g, base, x):
@@ -153,21 +229,15 @@ def test_row_lists_the_neighbor_of_each_port(name, g):
         assert all(row[p - 1] == g.neighbor(v, p)[0] for p in range(1, len(row) + 1))
 
 
-def test_row_of_a_lazy_tree_is_derived_from_neighbor():
-    g = TreeRegular(3)
-    for v in ("r", "r/2", "r/3/2", "r/1/1/2"):
-        assert g.row(v) == tuple(g.neighbor(v, p)[0] for p in (1, 2, 3))
-
-
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
 def test_entry_bounds_match_brute_force(name, g):
     for b in g.nodes():
         found = {t: _bounds_by_brute_force(g, b, t) for t in g.nodes() if t != b}
         for t, (near, least) in found.items():
-            assert entry_bounds(g, b, {t}) == (least, near)
+            assert g.entry_bounds(b, {t}) == (least, near)
         # a set's bounds are the least over its members, each taken on its own
-        assert entry_bounds(g, b, set(found)) == (min(x for _, x in found.values()),
-                                                  min(d for d, _ in found.values()))
+        assert g.entry_bounds(b, set(found)) == (min(x for _, x in found.values()),
+                                                 min(d for d, _ in found.values()))
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
@@ -184,7 +254,7 @@ def test_types_below_the_bounds_never_enter_the_target(name, g):
                 if delta >= near and m >= least:
                     continue
                 visits = {}
-                _sweep_type_fast(g, b, {t}, m, delta, 0, visits)
+                _sweep_type_fast(g, b, {t}, m, delta, 0, visits, NO_BUDGET)
                 assert visits == {}, (b, t, m, delta)
 
 
