@@ -16,7 +16,7 @@ from .errors import (
     UnknownFamily,
     UnknownNode,
 )
-from .hunt_engine import HuntConfig, HuntResult, Navigator, run_uth, traverse
+from .hunt_engine import HuntConfig, HuntResult, run_uth
 from .path_algebra import (
     EnumMode,
     compare_star,

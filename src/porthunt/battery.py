@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .port_graph import (
     FiniteGraph,
@@ -57,52 +57,6 @@ def truncated_tree_sample_nodes() -> List[NodeId]:
     return nodes
 
 
-def multi_route_example() -> Tuple[FiniteGraph, NodeId, NodeId]:
-    """Graph realizing the worked four-route weight computation.
-
-    From u to v there are exactly four edge-disjoint routes, with port
-    sequences (2,1,2,1), (3,10), (4,3) and (64); every other u -> v path has a
-    strictly larger type value.  The character of (u, v) is (4,2) and the
-    weight is 128.
-    """
-    adj: Dict[NodeId, Dict[int, Tuple[NodeId, int]]] = {}
-
-    def link(a: NodeId, pa: int, b: NodeId, pb: int) -> None:
-        adj.setdefault(a, {})[pa] = (b, pb)
-        adj.setdefault(b, {})[pb] = (a, pa)
-
-    # route (2,1,2,1): u -2-> x1 -1-> x2 -2-> x3 -1-> v
-    link("u", 2, "x1", 2)
-    link("x1", 1, "x2", 1)
-    link("x2", 2, "x3", 2)
-    link("x3", 1, "v", 1)
-    # route (3,10): u -3-> y1 -10-> v; y1 needs ports 1..10
-    link("u", 3, "y1", 1)
-    link("y1", 10, "v", 2)
-    for k in range(2, 10):
-        link("y1", k, f"yleaf{k}", 1)
-    # route (4,3): u -4-> z1 -3-> v
-    link("u", 4, "z1", 1)
-    link("z1", 3, "v", 3)
-    link("z1", 2, "zleaf", 1)
-    # route (64): the direct edge, plus filler leaves so u's ports are 1..64
-    link("u", 64, "v", 4)
-    for p in [1] + list(range(5, 64)):
-        link("u", p, f"uleaf{p}", 1)
-    g = FiniteGraph(adj)
-    return g, "u", "v"
-
-
-def path3_graph() -> FiniteGraph:
-    """Three-node path u - x - v with ports (1,1) and (2,1)."""
-    adj: Dict[NodeId, Dict[int, Tuple[NodeId, int]]] = {
-        "u": {1: ("x", 1)},
-        "x": {1: ("u", 1), 2: ("v", 1)},
-        "v": {1: ("x", 2)},
-    }
-    return FiniteGraph(adj)
-
-
 def low_port_edge(g: FiniteGraph) -> Tuple[NodeId, NodeId]:
     """Endpoints of the edge minimizing its larger port number.
 
@@ -127,25 +81,6 @@ def far_pair(g: FiniteGraph) -> Tuple[NodeId, NodeId]:
     ns = g.nodes()
     dist = distances(g, ns[0])
     return ns[0], max(ns, key=lambda n: (dist[n], n))
-
-
-def rendezvous_start_pairs(g: FiniteGraph, max_k_star: int = 33) -> List[Tuple[NodeId, NodeId]]:
-    """Start pairs for the rendezvous battery.
-
-    Always the lowest-port edge; additionally a BFS-farthest pair when its
-    critical-path indices are small enough that the exact cumulative-time
-    bound stays below the default round cap.
-    """
-    from .weight_oracle import critical_path
-
-    pairs = [low_port_edge(g)]
-    fp = far_pair(g)
-    if fp != pairs[0] and fp != tuple(reversed(pairs[0])):
-        _, k1 = critical_path(g, fp[0], fp[1])
-        _, k2 = critical_path(g, fp[1], fp[0])
-        if max(k1, k2) <= max_k_star:
-            pairs.append(fp)
-    return pairs
 
 
 def rendezvous_graphs() -> List[Tuple[str, FiniteGraph]]:

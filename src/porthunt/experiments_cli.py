@@ -153,6 +153,10 @@ def check_lowerbound(i: int, max_steps: int = LOWERBOUND_MAX_STEPS) -> Experimen
     hunt visits last and check time >= weight/4."""
     if i < 1:
         raise PreconditionError("i must be >= 1")
+    if 0 < max_steps < 4 * i - 1:
+        # every type (x, 1) with x < 2i costs 2 steps at the root, so r/2i is
+        # entered at step >= 4i - 1: fail before building the i targets
+        raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
     g = builtin("tree_omega")
     targets = {tree_node(j): j for j in range(i + 1, 2 * i + 1)}
     visits = first_visit_times(g, tree_node(), targets, max_steps=max_steps)

@@ -1,8 +1,10 @@
-"""Treasure hunt execution: single-path traversal, per-type sweeps, full hunt.
+"""Treasure hunt execution: the compressed per-type sweep and the traced agent.
 
 The agent only sees ports.  It probes a port by attempting a move; a probe of
 a nonexistent port costs nothing, a successful move costs one step.  The
-simulator (not the agent) recognizes arrival at the treasure node.
+simulator (not the agent) recognizes arrival at the treasure node.  Every
+query is answered by the compressed sweep; a traced hunt renders every step
+from the path-by-path loop over the graph's walk of each path.
 """
 
 from __future__ import annotations
@@ -37,120 +39,11 @@ def _check_budget(max_steps: int) -> None:
         raise ValueError("max_steps must be >= 1")
 
 
-class Navigator:
-    """Hides the graph behind a ports-only move interface and counts steps."""
-
-    def __init__(
-        self,
-        graph: PortGraph,
-        start: NodeId,
-        treasure: Optional[NodeId] = None,
-        max_steps: int = DEFAULT_MAX_STEPS,
-    ):
-        _check_budget(max_steps)
-        graph.degree(start)  # raises UnknownNode for a bad start
-        self._graph = graph
-        self._pos = start
-        self._treasure = treasure
-        self.max_steps = max_steps
-        self.steps = 0
-        self.at_treasure = start == treasure
-
-    def move(self, p: int) -> Optional[int]:
-        """Take port p; returns the entry port, or None if p does not exist here."""
-        d = self._graph.degree(self._pos)
-        if p < 1 or d is not None and p > d:
-            return None
-        if self.steps >= self.max_steps:
-            raise StepBudgetExceeded(f"step budget {self.max_steps} exhausted")
-        self._pos, entry = self._graph.neighbor(self._pos, p)
-        self.steps += 1
-        self.at_treasure = self._pos == self._treasure
-        return entry
-
-    @property
-    def position(self) -> NodeId:
-        """Simulator-side peek; agent logic must not use this."""
-        return self._pos
-
-
-@dataclass
-class TraverseOutcome:
-    feasible_prefix: Path
-    learned_reverse: Path
-    steps_used: int
-    treasure_hit: Optional[int] = None  # prefix length at first hit
-
-
 @dataclass
 class HuntConfig:
     mode: EnumMode = EnumMode.FIXED
     max_steps: int = DEFAULT_MAX_STEPS
     trace: Optional[Callable[[TraceRow], None]] = None
-
-
-def traverse(
-    nav: Navigator,
-    path: Path,
-    trace: Optional[Callable[[TraceRow], None]] = None,
-    phase: Tuple[int, PathType] = (0, (0, 0)),
-) -> TraverseOutcome:
-    """Walk the maximal feasible prefix of path, then retrace back to base.
-
-    If the walk enters the treasure node, the agent halts there immediately.
-    Costs at most 2 * len(path) steps.
-    """
-    phase_value, (tm, td) = phase
-    entries: List[int] = []
-    taken = 0
-    for p in path:
-        entry = nav.move(p)
-        if entry is None:
-            if trace:
-                trace((nav.steps, phase_value, tm, td, "probe_fail", p, "ok"))
-            break
-        taken += 1
-        entries.append(entry)
-        if trace:
-            trace((nav.steps, phase_value, tm, td, "move", p, "treasure" if nav.at_treasure else "ok"))
-        if nav.at_treasure:
-            return TraverseOutcome(
-                feasible_prefix=path[:taken],
-                learned_reverse=tuple(reversed(entries)),
-                steps_used=taken,
-                treasure_hit=taken,
-            )
-    for q in reversed(entries):
-        nav.move(q)
-        if trace:
-            trace((nav.steps, phase_value, tm, td, "backtrack", q, "ok"))
-    return TraverseOutcome(
-        feasible_prefix=path[:taken],
-        learned_reverse=tuple(reversed(entries)),
-        steps_used=2 * taken,
-    )
-
-
-@dataclass
-class PathsOutcome:
-    steps_used: int
-    treasure_prefix: Optional[Path] = None  # prefix that entered the treasure
-
-
-def run_paths_procedure(
-    nav: Navigator,
-    m: int,
-    delta: int,
-    trace: Optional[Callable[[TraceRow], None]] = None,
-) -> PathsOutcome:
-    """Traverse every path of type (m, delta) in lexicographic order."""
-    before = nav.steps
-    phase = (value(m, delta), (m, delta))
-    for path in paths_of_type(m, delta):
-        outcome = traverse(nav, path, trace, phase)
-        if outcome.treasure_hit is not None:
-            return PathsOutcome(nav.steps - before, treasure_prefix=outcome.feasible_prefix)
-    return PathsOutcome(nav.steps - before)
 
 
 @dataclass
@@ -172,7 +65,7 @@ def run_uth(
     treasure node is entered.  Raises StepBudgetExceeded if the cap runs out.
 
     Without a trace sink the hunt is the first visit of {treasure} by the
-    compressed sweep; with one, the path-by-path Navigator agent renders
+    compressed sweep; with one, the path-by-path agent (_run_traced) renders
     every step.  Both give the same steps, type and prefix.
     """
     cfg = cfg or HuntConfig()
@@ -183,17 +76,36 @@ def run_uth(
     if cfg.trace is None:
         steps, ptype, prefix = _first_visits(g, base, {treasure}, cfg.mode, cfg.max_steps)[treasure]
         return HuntResult(True, steps, ptype, value(*ptype), prefix)
-    nav = Navigator(g, base, treasure=treasure, max_steps=cfg.max_steps)
+    return _run_traced(g, base, treasure, cfg)
+
+
+def _run_traced(g: PortGraph, base: NodeId, treasure: NodeId, cfg: HuntConfig) -> HuntResult:
+    """The path-by-path agent: for every path in order, walk its maximal
+    feasible prefix and retrace it through the learned entry ports, with one
+    trace row per move and per failed probe, which costs no step.  Halts on
+    entering the treasure; raises StepBudgetExceeded before any move beyond
+    cfg.max_steps."""
+    trace, max_steps = cfg.trace, cfg.max_steps
+    steps = 0
     for m, delta in types_in_order(cfg.mode):
-        outcome = run_paths_procedure(nav, m, delta, cfg.trace)
-        if outcome.treasure_prefix is not None:
-            return HuntResult(
-                found=True,
-                steps=nav.steps,
-                found_type=(m, delta),
-                found_phase_value=value(m, delta),
-                visit_prefix=outcome.treasure_prefix,
-            )
+        phase = value(m, delta)
+        for path in paths_of_type(m, delta):
+            nodes, entries = g.walk(base, path)
+            for k, (node, p) in enumerate(zip(nodes, path), 1):
+                if steps == max_steps:
+                    raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
+                steps += 1
+                if node == treasure:
+                    trace((steps, phase, m, delta, "move", p, "treasure"))
+                    return HuntResult(True, steps, (m, delta), phase, path[:k])
+                trace((steps, phase, m, delta, "move", p, "ok"))
+            if len(nodes) < delta:
+                trace((steps, phase, m, delta, "probe_fail", path[len(nodes)], "ok"))
+            for q in reversed(entries):
+                if steps == max_steps:
+                    raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
+                steps += 1
+                trace((steps, phase, m, delta, "backtrack", q, "ok"))
     raise AssertionError("unreachable")
 
 

@@ -60,6 +60,21 @@ class PortGraph:
         whose ports are all at most x."""
         raise NotImplementedError
 
+    def walk(self, v: NodeId, path: Sequence[int]) -> Tuple[List[NodeId], List[int]]:
+        """The nodes entered by the maximal feasible prefix of path from v, and
+        the entry port at each: the walk stops at the first port missing where
+        it stands."""
+        nodes: List[NodeId] = []
+        entries: List[int] = []
+        for p in path:
+            d = self.degree(v)  # None: every port exists
+            if d is not None and p > d:
+                break
+            v, q = self.neighbor(v, p)
+            nodes.append(v)
+            entries.append(q)
+        return nodes, entries
+
 
 class FiniteGraph(PortGraph):
     """Finite port graph backed by an adjacency dict (node -> port -> (node, port))."""

@@ -98,15 +98,7 @@ def _walker(
     d = g.degree(home)  # None: infinite degree
     paths = enumerate(global_paths(mode), 1) if d is None else departures(d, mode)
     for j, path in paths:
-        pos, q = g.neighbor(home, path[0])
-        nodes, entries = [pos], [q]
-        for p in path[1:]:
-            dp = g.degree(pos)
-            if dp is not None and p > dp:
-                break
-            pos, q = g.neighbor(pos, p)
-            nodes.append(pos)
-            entries.append(q)
+        nodes, entries = g.walk(home, path)
         n = len(nodes)
         top = (j - 1) * s  # bits before the segment; its first bit, a 1-bit, is the shortest
         if 3 * (top + 1) * (top + 1) < 2 * n:

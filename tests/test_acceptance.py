@@ -13,9 +13,7 @@ from porthunt.battery import (
     RENDEZVOUS_DELAYS,
     RENDEZVOUS_LABEL_PAIRS,
     hunt_battery,
-    multi_route_example,
     rendezvous_graphs,
-    rendezvous_start_pairs,
     truncated_tree_sample_nodes,
 )
 from porthunt.experiments_cli import check_lowerbound
@@ -43,6 +41,8 @@ from porthunt.rendezvous_engine import (
     trans,
 )
 from porthunt.weight_oracle import character_weight, critical_path
+
+from instances import multi_route_example, rendezvous_start_pairs
 
 
 def tape_bit(label, i):

@@ -10,7 +10,7 @@ import pytest
 
 import porthunt
 from porthunt import experiments_cli
-from porthunt.errors import ParseError
+from porthunt.errors import ParseError, StepBudgetExceeded
 from porthunt.experiments_cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
@@ -122,6 +122,22 @@ def test_lowerbound_command(capsys):
     assert rep.passed and rep.measured >= rep.bound
 
 
+def test_lowerbound_budget_fails_before_the_sweep(monkeypatch):
+    """Every type (x, 1) with x < 2i costs 2 steps at the root, so r/2i is
+    entered at step >= 4i - 1; a smaller budget fails before the i targets
+    are built."""
+    class Swept(Exception):
+        pass
+
+    def sweep(*args, **kwargs):
+        raise Swept
+    monkeypatch.setattr(experiments_cli, "first_visit_times", sweep)
+    with pytest.raises(StepBudgetExceeded):
+        check_lowerbound(1000, max_steps=3998)
+    with pytest.raises(Swept):
+        check_lowerbound(1000, max_steps=3999)
+
+
 def test_sleeper_command(capsys):
     code = main(["sleeper", "--graph", "ring:4", "--start1", "0",
                  "--label1", "3", "--start2", "2"])
@@ -165,6 +181,25 @@ def test_hunt_trace_file_is_deterministic(tmp_path, graph_file):
                        "action", "port", "result"]
     assert rows[-1][4] == "move" and rows[-1][6] == "treasure"
     assert rows[-1][0] == "14"
+
+
+def test_hunt_trace_under_an_exhausted_budget(tmp_path, graph_file):
+    """The rows up to the move the budget refuses stay in the file."""
+    t = tmp_path / "t.csv"
+    proc = _run_cli("hunt", "--graph", graph_file, "--base", "u", "--treasure", "v",
+                    "--max-steps", "5", "--trace", str(t))
+    assert proc.returncode == EXIT_BUDGET, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert t.read_text().splitlines() == [
+        "step,phase_value,type_m,type_delta,action,port,result",
+        "1,2,1,1,move,1,ok",
+        "2,2,1,1,backtrack,1,ok",
+        "2,4,2,1,probe_fail,2,ok",
+        "2,6,3,1,probe_fail,3,ok",
+        "3,8,1,2,move,1,ok",
+        "4,8,1,2,move,1,ok",
+        "5,8,1,2,backtrack,1,ok",
+    ]
 
 
 def test_rv_trace_file(tmp_path):

@@ -1,17 +1,11 @@
 import pytest
 
-from porthunt.battery import hunt_battery, multi_route_example, path3_graph
+from porthunt.battery import hunt_battery
 from porthunt.errors import StepBudgetExceeded, UnknownNode
-from porthunt.hunt_engine import (
-    HuntConfig,
-    Navigator,
-    first_visit_times,
-    run_paths_procedure,
-    run_uth,
-    traverse,
-)
+from porthunt.hunt_engine import HuntConfig, first_visit_times, run_uth
 from porthunt.path_algebra import EnumMode
 from porthunt.port_graph import (
+    FiniteGraph,
     TreeOmega,
     TreeRegular,
     builtin,
@@ -19,6 +13,8 @@ from porthunt.port_graph import (
     tree_node,
     two_node,
 )
+
+from instances import multi_route_example, path3_graph
 
 CHAIN_TEXT = """
 # u -5-> a -2-> b -3-> c, with filler leaves completing the port sets
@@ -35,61 +31,161 @@ edge u 4 l4 1
 """
 
 
-def test_navigator_counts_moves_only():
-    g = two_node()
-    nav = Navigator(g, "u")
-    assert nav.move(2) is None  # probing a missing port costs nothing
-    assert nav.steps == 0
-    assert nav.move(1) == 1
-    assert nav.steps == 1
-    assert nav.position == "v"
-
-
-def test_navigator_rejects_bad_start_and_budget():
-    with pytest.raises(UnknownNode):
-        Navigator(two_node(), "w")
-    with pytest.raises(ValueError):
-        Navigator(two_node(), "u", max_steps=0)
-    nav = Navigator(two_node(), "u", max_steps=1)
-    nav.move(1)
-    with pytest.raises(StepBudgetExceeded):
-        nav.move(1)
-
-
-def test_traverse_backs_off_at_first_missing_port():
+def test_walk_stops_at_the_first_missing_port():
     g = from_text(CHAIN_TEXT)
-    nav = Navigator(g, "u")
-    out = traverse(nav, (5, 2, 3, 5, 4, 1))
-    assert out.feasible_prefix == (5, 2, 3)  # c has degree 3, port 5 missing
-    assert out.learned_reverse == (1, 1, 1)
-    assert out.steps_used == 6  # 3 forward + 3 back
-    assert nav.position == "u"  # traverse always returns home
-    assert out.treasure_hit is None
+    nodes, entries = g.walk("u", (5, 2, 3, 5, 4, 1))
+    assert nodes == ["a", "b", "c"]  # c has degree 3, port 5 missing
+    assert entries == [1, 1, 1]
 
 
-def test_traverse_halts_on_treasure_entry():
-    g = path3_graph()
-    nav = Navigator(g, "u", treasure="v")
-    out = traverse(nav, (1, 2))
-    assert out.treasure_hit == 2
-    assert out.steps_used == 2
-    assert nav.position == "v"  # the agent stays at the treasure
+def test_walk_never_stops_on_tree_omega():
+    assert TreeOmega().walk("r", (5, 9, 100, 1)) == \
+        (["r/5", "r/5/8", "r/5/8/99", "r/5/8"], [1, 1, 1, 100])
 
 
-def test_run_paths_two_node_type_2_2():
-    # (1,2): one move, port 2 missing at v, one move back -> 2 steps;
-    # (2,1) and (2,2) fail their first probe -> 0 steps each
-    nav = Navigator(two_node(), "u")
-    out = run_paths_procedure(nav, 2, 2)
-    assert out.steps_used == 2
-    assert out.treasure_prefix is None
+def test_walk_and_traced_hunt_reject_an_unknown_start():
+    with pytest.raises(UnknownNode):
+        two_node().walk("w", (1,))
+    with pytest.raises(UnknownNode):
+        run_uth(two_node(), "w", "v", HuntConfig(trace=lambda row: None))
 
 
-def test_run_paths_finds_treasure():
-    nav = Navigator(two_node(), "u", treasure="v")
-    out = run_paths_procedure(nav, 1, 1)
-    assert out.treasure_prefix == (1,)
-    assert out.steps_used == 1
+def test_traced_failed_probe_costs_nothing():
+    # u - v as in two_node, and a treasure out of reach: the agent sweeps
+    # until the budget; in type (2, 2), (1, 2) costs 2 steps, and (2, 1)
+    # and (2, 2) fail their first probe
+    g = FiniteGraph({"u": {1: ("v", 1)}, "v": {1: ("u", 1)},
+                     "t": {1: ("t", 2), 2: ("t", 1)}})
+    rows = []
+    with pytest.raises(StepBudgetExceeded):
+        run_uth(g, "u", "t", HuntConfig(max_steps=14, trace=rows.append))
+    assert [r for r in rows if r[2:4] == (2, 2)] == [
+        (13, 32, 2, 2, "move", 1, "ok"), (13, 32, 2, 2, "probe_fail", 2, "ok"),
+        (14, 32, 2, 2, "backtrack", 1, "ok"), (14, 32, 2, 2, "probe_fail", 2, "ok"),
+        (14, 32, 2, 2, "probe_fail", 2, "ok")]
+
+
+def test_traced_hunt_halts_on_the_treasure_entry():
+    # in STRICT mode the first walk into x is the prefix (1,) of path (1, 2)
+    rows = []
+    r = run_uth(path3_graph(), "u", "x", HuntConfig(mode=EnumMode.STRICT, trace=rows.append))
+    assert (r.steps, r.found_type, r.visit_prefix) == (1, (2, 2), (1,))
+    assert rows[-1] == (1, 32, 2, 2, "move", 1, "treasure")
+
+
+# Trace rows (step phase_value type_m type_delta action port result),
+# recorded once; a budget keeps the rows at steps within it.
+PATH3_FIXED_ROWS = """
+1 2 1 1 move 1 ok
+2 2 1 1 backtrack 1 ok
+2 4 2 1 probe_fail 2 ok
+2 6 3 1 probe_fail 3 ok
+3 8 1 2 move 1 ok
+4 8 1 2 move 1 ok
+5 8 1 2 backtrack 1 ok
+6 8 1 2 backtrack 1 ok
+6 8 4 1 probe_fail 4 ok
+6 10 5 1 probe_fail 5 ok
+6 12 6 1 probe_fail 6 ok
+6 14 7 1 probe_fail 7 ok
+6 16 8 1 probe_fail 8 ok
+6 18 9 1 probe_fail 9 ok
+6 20 10 1 probe_fail 10 ok
+6 22 11 1 probe_fail 11 ok
+7 24 1 3 move 1 ok
+8 24 1 3 move 1 ok
+9 24 1 3 move 1 ok
+10 24 1 3 backtrack 1 ok
+11 24 1 3 backtrack 1 ok
+12 24 1 3 backtrack 1 ok
+12 24 12 1 probe_fail 12 ok
+12 26 13 1 probe_fail 13 ok
+12 28 14 1 probe_fail 14 ok
+12 30 15 1 probe_fail 15 ok
+13 32 2 2 move 1 ok
+14 32 2 2 move 2 treasure
+"""
+PATH3_STRICT_ROWS = """
+0 4 2 1 probe_fail 2 ok
+0 6 3 1 probe_fail 3 ok
+0 8 4 1 probe_fail 4 ok
+0 10 5 1 probe_fail 5 ok
+0 12 6 1 probe_fail 6 ok
+0 14 7 1 probe_fail 7 ok
+0 16 8 1 probe_fail 8 ok
+0 18 9 1 probe_fail 9 ok
+0 20 10 1 probe_fail 10 ok
+0 22 11 1 probe_fail 11 ok
+0 24 12 1 probe_fail 12 ok
+0 26 13 1 probe_fail 13 ok
+0 28 14 1 probe_fail 14 ok
+0 30 15 1 probe_fail 15 ok
+1 32 2 2 move 1 ok
+2 32 2 2 move 2 treasure
+"""
+TREE3_ROWS = """
+1 2 1 1 move 1 ok
+2 2 1 1 backtrack 1 ok
+3 4 2 1 move 2 ok
+4 4 2 1 backtrack 1 ok
+5 6 3 1 move 3 ok
+6 6 3 1 backtrack 1 ok
+7 8 1 2 move 1 ok
+8 8 1 2 move 1 ok
+9 8 1 2 backtrack 1 ok
+10 8 1 2 backtrack 1 ok
+10 8 4 1 probe_fail 4 ok
+10 10 5 1 probe_fail 5 ok
+10 12 6 1 probe_fail 6 ok
+10 14 7 1 probe_fail 7 ok
+10 16 8 1 probe_fail 8 ok
+10 18 9 1 probe_fail 9 ok
+10 20 10 1 probe_fail 10 ok
+10 22 11 1 probe_fail 11 ok
+11 24 1 3 move 1 ok
+12 24 1 3 move 1 ok
+13 24 1 3 move 1 ok
+14 24 1 3 backtrack 1 ok
+15 24 1 3 backtrack 1 ok
+16 24 1 3 backtrack 1 ok
+16 24 12 1 probe_fail 12 ok
+16 26 13 1 probe_fail 13 ok
+16 28 14 1 probe_fail 14 ok
+16 30 15 1 probe_fail 15 ok
+17 32 2 2 move 1 ok
+18 32 2 2 move 2 ok
+19 32 2 2 backtrack 1 ok
+20 32 2 2 backtrack 1 ok
+21 32 2 2 move 2 ok
+22 32 2 2 move 1 ok
+23 32 2 2 backtrack 2 ok
+24 32 2 2 backtrack 1 ok
+25 32 2 2 move 2 ok
+26 32 2 2 move 2 treasure
+"""
+
+
+@pytest.mark.parametrize("g,base,treasure,mode,max_steps,pinned", [
+    (path3_graph(), "u", "v", EnumMode.FIXED, None, PATH3_FIXED_ROWS),
+    (path3_graph(), "u", "v", EnumMode.STRICT, None, PATH3_STRICT_ROWS),
+    (TreeRegular(3), "r", "r/2/1", EnumMode.FIXED, None, TREE3_ROWS),
+    (path3_graph(), "u", "v", EnumMode.FIXED, 6, PATH3_FIXED_ROWS),
+    (TreeRegular(3), "r", "r/2/1", EnumMode.FIXED, 20, TREE3_ROWS),
+], ids=["path3-fixed", "path3-strict", "tree_regular:3", "path3-budget-6",
+        "tree_regular:3-budget-20"])
+def test_trace_rows_are_pinned(g, base, treasure, mode, max_steps, pinned):
+    """Every row up to the treasure entry; under a budget, every row up to
+    the move it refuses, failed probes at the last step included."""
+    lines = pinned.strip().splitlines()
+    rows = []
+    if max_steps is None:
+        run_uth(g, base, treasure, HuntConfig(mode=mode, trace=rows.append))
+    else:
+        with pytest.raises(StepBudgetExceeded):
+            run_uth(g, base, treasure, HuntConfig(mode=mode, max_steps=max_steps,
+                                                  trace=rows.append))
+        lines = [line for line in lines if int(line.split()[0]) <= max_steps]
+    assert [" ".join(map(str, row)) for row in rows] == lines
 
 
 def test_run_uth_trivial_cases():

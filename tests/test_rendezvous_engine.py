@@ -3,13 +3,7 @@ from itertools import count, islice
 
 import pytest
 
-from porthunt.battery import (
-    far_pair,
-    low_port_edge,
-    path3_graph,
-    rendezvous_graphs,
-    rendezvous_start_pairs,
-)
+from porthunt.battery import far_pair, low_port_edge, rendezvous_graphs
 from porthunt.errors import NegativeWait, PreconditionError, RoundBudgetExceeded
 from porthunt.path_algebra import EnumMode, global_paths
 from porthunt.port_graph import PortGraph, TreeOmega, TreeRegular, builtin, tree_node, two_node
@@ -24,6 +18,8 @@ from porthunt.rendezvous_engine import (
     trans,
 )
 from porthunt.weight_oracle import critical_path
+
+from instances import path3_graph, rendezvous_start_pairs
 
 
 def tape_bit(label, i):

@@ -13,7 +13,7 @@ import math
 import pytest
 
 from porthunt import hunt_engine, weight_oracle
-from porthunt.battery import hunt_battery, path3_graph, truncated_tree_sample_nodes
+from porthunt.battery import hunt_battery, truncated_tree_sample_nodes
 from porthunt.errors import CapExceeded, StepBudgetExceeded
 from porthunt.hunt_engine import (
     HuntConfig,
@@ -40,6 +40,8 @@ from porthunt.port_graph import (
     two_node,
 )
 from porthunt.weight_oracle import character_weight
+
+from instances import path3_graph
 
 MODES = [EnumMode.FIXED, EnumMode.STRICT]
 NO_BUDGET = math.inf

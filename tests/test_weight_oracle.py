@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from porthunt.battery import hunt_battery, multi_route_example, path3_graph
+from porthunt.battery import hunt_battery
 from porthunt.errors import CapExceeded, PreconditionError
 from porthunt.path_algebra import EnumMode, paths_of_type, star_key, types_in_order, value
 from porthunt.port_graph import TreeOmega, builtin, from_text, tree_node, two_node
@@ -12,6 +12,8 @@ from porthunt.weight_oracle import (
     character_weight,
     critical_path,
 )
+
+from instances import multi_route_example, path3_graph
 
 ASYMMETRIC_TEXT = """
 # a -1/9- b plus eight leaves filling b's ports 1..8
