@@ -19,7 +19,6 @@ from .errors import (
 from .hunt_engine import HuntConfig, HuntResult, run_uth
 from .path_algebra import (
     EnumMode,
-    compare_star,
     global_paths,
     index_of_path,
     paths_of_type,
@@ -40,15 +39,12 @@ from .port_graph import (
 from .rendezvous_engine import (
     RvConfig,
     RvResult,
-    alloc,
     bound_time,
     run_urv,
     trans,
 )
 from .weight_oracle import (
     WeightResult,
-    big_weight,
-    bp_lex_shortest_path,
     character_weight,
     critical_path,
 )

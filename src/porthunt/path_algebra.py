@@ -167,18 +167,6 @@ def _gen_type_members(prefix: List[int], remaining: int, seen_max: bool, m: int)
         prefix.pop()
 
 
-def star_key(path: Path) -> Tuple[int, int, int, Path]:
-    """Sort key realizing the global path order: value, type lex, path lex."""
-    m, delta = type_of(path)
-    return (value(m, delta), m, delta, path)
-
-
-def compare_star(a: Path, b: Path) -> int:
-    """-1, 0 or 1 as a precedes, equals or follows b in the global order."""
-    ka, kb = star_key(a), star_key(b)
-    return -1 if ka < kb else (0 if ka == kb else 1)
-
-
 def global_paths(mode: EnumMode = EnumMode.FIXED) -> Iterator[Path]:
     """All finite paths over positive ports, each exactly once, in star order."""
     for m, delta in types_in_order(mode):

@@ -85,6 +85,7 @@ class FiniteGraph(PortGraph):
         if 0 in self._degrees.values():
             raise ValueError("finite degree must be >= 1")
         self._max_degree = max(self._degrees.values(), default=None)
+        self._bounds: Dict[NodeId, Tuple[Dict[NodeId, int], Dict[NodeId, int]]] = {}
 
     def degree(self, v: NodeId) -> int:
         try:
@@ -120,11 +121,13 @@ class FiniteGraph(PortGraph):
             raise UnknownNode(f"no node {v!r}") from None
 
     def entry_bounds(self, src: NodeId, targets: Set[NodeId]) -> Optional[Tuple[int, int]]:
-        least = least_max_port(self, src, targets)
-        if least is None:
-            return None
-        dist = distances(self, src)
-        return least, min(dist[t] for t in targets if t in dist)
+        """Minima over the reachable targets of the least max port and the hop
+        distance from src, read from two complete searches kept per base."""
+        if src not in self._bounds:  # O(|V|) per base; the graph never changes
+            self._bounds[src] = least_max_ports(self, src), distances(self, src)
+        least, dist = self._bounds[src]
+        reached = [(least[t], dist[t]) for t in targets if t in dist]
+        return tuple(map(min, zip(*reached))) if reached else None
 
     def walk_counts(self, src: NodeId, x: int) -> Iterator[int]:
         rows = self._rows
@@ -227,23 +230,19 @@ def distances(g: FiniteGraph, src: NodeId) -> Dict[NodeId, int]:
     return dist
 
 
-def least_max_port(g: FiniteGraph, src: NodeId, targets: Set[NodeId]) -> Optional[int]:
-    """Least x such that a walk from src over ports <= x enters targets (src
-    not among them); None if no walk does.
+def least_max_ports(g: FiniteGraph, src: NodeId) -> Dict[NodeId, int]:
+    """Least max port of a walk from src into each node it reaches (src: 0).
 
     Bucket search over port numbers: bucket x holds the nodes whose least max
-    port over walks from src is x, and the search stops past the max degree.
+    port over walks from src is x; no port exceeds the max degree.
     """
-    top = g.max_degree()
     best = {src: 0}
-    buckets: List[List[NodeId]] = [[src]] + [[] for _ in range(top)]
+    buckets: List[List[NodeId]] = [[src]] + [[] for _ in range(g.max_degree())]
     for x, bucket in enumerate(buckets):
         while bucket:
             v = bucket.pop()
             if best[v] < x:
                 continue  # reached later through a smaller max port
-            if v in targets:
-                return x
             row = g.row(v)
             for u in row[:x]:  # a port <= x keeps the max port at x
                 if best.get(u, x + 1) > x:
@@ -253,7 +252,7 @@ def least_max_port(g: FiniteGraph, src: NodeId, targets: Set[NodeId]) -> Optiona
                 if best.get(u, p + 1) > p:
                     best[u] = p
                     buckets[p].append(u)
-    return None
+    return best
 
 
 def from_text(text: str) -> FiniteGraph:

@@ -57,13 +57,6 @@ def trans(label: int) -> Tuple[int, ...]:
     return tuple(bits) + (0, 1)
 
 
-def alloc(i: int) -> int:
-    """Rounds allocated to the i-th tape bit: 3 * i**2."""
-    if i < 1:
-        raise ValueError("bit indices start at 1")
-    return 3 * i * i
-
-
 def bound_time(n: int) -> int:
     """Total rounds of the first n bits: n(n+1)(2n+1)/2, exactly sum of 3*j**2."""
     if n < 1:
@@ -112,7 +105,7 @@ def _walker(
                 i = top + k + 1
                 start = offset + (i - 1) * i * (2 * i - 1) // 2  # bound_time(i - 1)
                 yield start, start + n, nodes, ports
-                end = start + 3 * i * i  # alloc(i)
+                end = start + 3 * i * i  # bit i holds 3 * i**2 rounds
                 yield end - n, end, back, back_ports
 
 

@@ -1,4 +1,4 @@
-"""Brute-force ground truth: character, weight, W, critical paths.
+"""Brute-force ground truth: character, weight, critical paths.
 
 Everything here enumerates paths in the global order and simulates them
 directly on the graph, independently of the hunt engine's agent machinery.
@@ -21,7 +21,7 @@ from .path_algebra import (
     types_in_order,
     value,
 )
-from .port_graph import FiniteGraph, NodeId, PortGraph, distances
+from .port_graph import NodeId, PortGraph
 
 DEFAULT_CAP = 10 ** 6
 
@@ -102,14 +102,6 @@ def character_weight(
                         witness_index=index_of_path(path))
 
 
-def big_weight(g: PortGraph, v1: NodeId, v2: NodeId, cap: int = DEFAULT_CAP) -> int:
-    """W(v1, v2) = max of the two directed weights."""
-    return max(
-        character_weight(g, v1, v2, cap).weight,
-        character_weight(g, v2, v1, cap).weight,
-    )
-
-
 def critical_path(
     g: PortGraph, v1: NodeId, v2: NodeId, cap: int = DEFAULT_CAP
 ) -> Tuple[Path, int]:
@@ -118,25 +110,3 @@ def critical_path(
         raise PreconditionError("critical path is defined for distinct nodes")
     path = _first_connecting(g, v1, v2, cap)
     return path, index_of_path(path)
-
-
-def bp_lex_shortest_path(g: FiniteGraph, v1: NodeId, v2: NodeId) -> Path:
-    """Lexicographically smallest port sequence among shortest v1 -> v2 paths.
-
-    BFS layering from v2 over the underlying edges, then a greedy walk taking
-    the smallest port that decreases the remaining distance.  Finite graphs
-    only.
-    """
-    if v1 == v2:
-        return ()
-    dist = distances(g, v2)
-    if v1 not in dist:
-        raise PreconditionError(f"{v2!r} unreachable from {v1!r}")
-    ports = []
-    pos = v1
-    while pos != v2:
-        row = g.row(pos)
-        step = next(p for p, y in enumerate(row, 1) if dist[y] == dist[pos] - 1)
-        ports.append(step)
-        pos = row[step - 1]
-    return tuple(ports)

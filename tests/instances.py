@@ -1,9 +1,11 @@
-"""Test-only instances: the worked four-route example, the three-node path,
-and the start pairs of the rendezvous battery."""
+"""Test-only instances and helpers: the worked four-route example, the
+three-node path, the start pairs of the rendezvous battery, and a comparator
+for the global path order."""
 
 from typing import Dict, List, Tuple
 
 from porthunt.battery import far_pair, low_port_edge
+from porthunt.path_algebra import Path, type_of, value
 from porthunt.port_graph import FiniteGraph, NodeId
 from porthunt.weight_oracle import critical_path
 
@@ -69,3 +71,15 @@ def rendezvous_start_pairs(g: FiniteGraph, max_k_star: int = 33) -> List[Tuple[N
         if max(k1, k2) <= max_k_star:
             pairs.append(fp)
     return pairs
+
+
+def star_key(path: Path) -> Tuple[int, int, int, Path]:
+    """Sort key realizing the global path order: value, type lex, path lex."""
+    m, delta = type_of(path)
+    return (value(m, delta), m, delta, path)
+
+
+def compare_star(a: Path, b: Path) -> int:
+    """-1, 0 or 1 as a precedes, equals or follows b in the global order."""
+    ka, kb = star_key(a), star_key(b)
+    return -1 if ka < kb else (0 if ka == kb else 1)

@@ -20,7 +20,6 @@ from porthunt.experiments_cli import check_lowerbound
 from porthunt.hunt_engine import HuntConfig, run_uth
 from porthunt.path_algebra import (
     EnumMode,
-    compare_star,
     count_of_type,
     paths_of_type,
     value,
@@ -42,7 +41,7 @@ from porthunt.rendezvous_engine import (
 )
 from porthunt.weight_oracle import character_weight, critical_path
 
-from instances import multi_route_example, rendezvous_start_pairs
+from instances import compare_star, multi_route_example, rendezvous_start_pairs
 
 
 def tape_bit(label, i):

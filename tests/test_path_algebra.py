@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from porthunt.errors import NotEnumerated
 from porthunt.path_algebra import (
     EnumMode,
-    compare_star,
     count_of_type,
     departures,
     global_paths,
@@ -19,6 +18,8 @@ from porthunt.path_algebra import (
     types_in_order,
     value,
 )
+
+from instances import compare_star
 
 FIXED = EnumMode.FIXED
 STRICT = EnumMode.STRICT

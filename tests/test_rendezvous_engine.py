@@ -12,7 +12,6 @@ from porthunt.rendezvous_engine import (
     RvConfig,
     RvResult,
     _move_events,
-    alloc,
     bound_time,
     run_urv,
     trans,
@@ -26,6 +25,13 @@ def tape_bit(label, i):
     """i-th bit (1-based) of the infinite periodic tape of a label."""
     seg = trans(label)
     return seg[(i - 1) % len(seg)]
+
+
+def alloc(i):
+    """Rounds allocated to the i-th tape bit: 3 * i**2."""
+    if i < 1:
+        raise ValueError("bit indices start at 1")
+    return 3 * i * i
 
 
 def take_paths(n, mode=EnumMode.FIXED):

@@ -3,18 +3,20 @@
 The hunt and the oracle sweep only the types whose max port is at most the
 graph's max degree and at least the least max port of a walk into the target,
 with length at least its hop distance (the graph's entry bounds; closed forms
-on a lazy tree); the hunt charges every earlier type in closed form.  The
-references here sweep or count every type, as the engines did before.
+on a lazy tree, kept per base on a finite graph); the hunt charges every
+earlier type in closed form.  The references here sweep or count every type,
+as the engines did before.
 """
 
 import itertools
 import math
+import random
 
 import pytest
 
-from porthunt import hunt_engine, weight_oracle
+from porthunt import hunt_engine, port_graph, weight_oracle
 from porthunt.battery import hunt_battery, truncated_tree_sample_nodes
-from porthunt.errors import CapExceeded, StepBudgetExceeded
+from porthunt.errors import CapExceeded, StepBudgetExceeded, UnknownNode
 from porthunt.hunt_engine import (
     HuntConfig,
     _Charge,
@@ -231,15 +233,69 @@ def test_row_lists_the_neighbor_of_each_port(name, g):
         assert all(row[p - 1] == g.neighbor(v, p)[0] for p in range(1, len(row) + 1))
 
 
+def _fresh(g):
+    """A new graph with g's nodes and ports, and no bounds kept yet."""
+    return g.relabeled({v: v for v in g.nodes()})
+
+
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
 def test_entry_bounds_match_brute_force(name, g):
-    for b in g.nodes():
-        found = {t: _bounds_by_brute_force(g, b, t) for t in g.nodes() if t != b}
-        for t, (near, least) in found.items():
-            assert g.entry_bounds(b, {t}) == (least, near)
-        # a set's bounds are the least over its members, each taken on its own
-        assert g.entry_bounds(b, set(found)) == (min(x for _, x in found.values()),
-                                                 min(d for d, _ in found.values()))
+    """The graph keeps one complete search per base, so the order of the
+    queries cannot change a bound: on a fresh graph per order, every target of
+    a base is queried far first (larger least max port, then hop distance)
+    and near first."""
+    found = {b: {t: _bounds_by_brute_force(g, b, t) for t in g.nodes() if t != b}
+             for b in g.nodes()}
+    for far_first in (True, False):
+        fresh = _fresh(g)
+        for b, by_target in found.items():
+            order = sorted(by_target, key=lambda t: by_target[t][::-1], reverse=far_first)
+            for t in order:
+                near, least = by_target[t]
+                assert fresh.entry_bounds(b, {t}) == (least, near), (b, t, far_first)
+            # a set's bounds are the least over its members, each taken on its own
+            assert fresh.entry_bounds(b, set(by_target)) == (
+                min(x for _, x in by_target.values()), min(d for d, _ in by_target.values()))
+
+
+def test_entry_bounds_are_kept_per_graph():
+    """Two battery graphs name their nodes "0", "1", ... alike and differ in
+    some bounds; querying one leaves the other's bounds as they were."""
+    graphs = hunt_battery(count=2)
+    shared = set.intersection(*(set(g.nodes()) for g in graphs))
+    pairs = list(itertools.permutations(sorted(shared), 2))
+    expected = [{(b, t): _bounds_by_brute_force(g, b, t)[::-1] for b, t in pairs} for g in graphs]
+    assert expected[0] != expected[1]
+    for i in (0, 1, 0):
+        assert {(b, t): graphs[i].entry_bounds(b, {t}) for b, t in pairs} == expected[i], i
+
+
+def test_unknown_base_keeps_no_bounds():
+    g = builtin("ring", [5])
+    with pytest.raises(UnknownNode):
+        g.entry_bounds("x", {"1"})
+    assert g._bounds == {}
+    assert g.entry_bounds("0", {"1"}) == (1, 1)
+    assert list(g._bounds) == ["0"]
+
+
+def _disconnected_graph():
+    """a - b with a self-loop at a, and a separate c - d."""
+    return FiniteGraph({
+        "a": {1: ("b", 1), 2: ("a", 3), 3: ("a", 2)},
+        "b": {1: ("a", 1)},
+        "c": {1: ("d", 1)},
+        "d": {1: ("c", 1)},
+    })
+
+
+def test_unreachable_target_has_no_bounds_before_and_after_a_reachable_one():
+    g = _disconnected_graph()
+    assert g.entry_bounds("a", {"c"}) is None
+    assert g.entry_bounds("a", {"b"}) == (1, 1)
+    assert g.entry_bounds("a", {"c"}) is None
+    assert g.entry_bounds("a", {"c", "d"}) is None
+    assert g.entry_bounds("a", {"b", "c"}) == (1, 1)
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
@@ -357,6 +413,50 @@ def test_criterion_3_work_is_pinned(monkeypatch):
     assert nav == {"degree": 13434, "neighbor": 13446}
 
 
+def _counting_searches(monkeypatch, counts):
+    for name in counts:
+        def counted(*args, original=getattr(port_graph, name), name=name):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(port_graph, name, counted)
+
+
+def _criterion_3_outputs(instances):
+    out = {}
+    for g, b, t in instances:
+        o = character_weight(g, b, t)
+        r = run_uth(g, b, t, HuntConfig(max_steps=2 * o.weight))
+        out[id(g), b, t] = (r.steps, r.found_type, r.visit_prefix,
+                            o.character, o.weight, o.witness_index)
+    return out
+
+
+def test_entry_bounds_search_once_per_graph_and_base(monkeypatch):
+    """The oracle and the hunt share one bucket search and one BFS per base."""
+    instances = _criterion_3_instances()
+    searches = {"least_max_ports": 0, "distances": 0}
+    _counting_searches(monkeypatch, searches)
+    _criterion_3_outputs(instances[:1])
+    assert searches == {"least_max_ports": 1, "distances": 1}
+    _criterion_3_outputs(instances)
+    assert len({(id(g), b) for g, b, _ in instances}) == 287
+    assert searches == {"least_max_ports": 287, "distances": 287}
+
+
+def test_query_order_changes_no_output(monkeypatch):
+    """The kept bounds carry state from one query to the next: the criterion-3
+    pairs give the same outputs in order and then, on the same graphs,
+    shuffled, which searches from no base again."""
+    instances = _criterion_3_instances()
+    searches = {"least_max_ports": 0, "distances": 0}
+    _counting_searches(monkeypatch, searches)
+    in_order = _criterion_3_outputs(instances)
+    shuffled = list(instances)
+    random.Random(1).shuffle(shuffled)
+    assert _criterion_3_outputs(shuffled) == in_order
+    assert searches == {"least_max_ports": 287, "distances": 287}
+
+
 def test_ring_cliff_is_gone():
     g = builtin("ring", [40])
     o = character_weight(g, "0", "20", cap=10 ** 8)
@@ -388,12 +488,7 @@ def test_far_pair_on_large_rings_is_pinned(n, weight, index, steps):
 
 def test_disconnected_graph_ends_with_budget_errors():
     """A target outside the base's component: no type can enter it."""
-    g = FiniteGraph({
-        "a": {1: ("b", 1), 2: ("a", 3), 3: ("a", 2)},
-        "b": {1: ("a", 1)},
-        "c": {1: ("d", 1)},
-        "d": {1: ("c", 1)},
-    })
+    g = _disconnected_graph()
     with pytest.raises(CapExceeded):
         character_weight(g, "a", "c", cap=10 ** 30)
     for mode in MODES:

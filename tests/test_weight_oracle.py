@@ -4,16 +4,11 @@ import pytest
 
 from porthunt.battery import hunt_battery
 from porthunt.errors import CapExceeded, PreconditionError
-from porthunt.path_algebra import EnumMode, paths_of_type, star_key, types_in_order, value
-from porthunt.port_graph import TreeOmega, builtin, from_text, tree_node, two_node
-from porthunt.weight_oracle import (
-    big_weight,
-    bp_lex_shortest_path,
-    character_weight,
-    critical_path,
-)
+from porthunt.path_algebra import EnumMode, paths_of_type, types_in_order, value
+from porthunt.port_graph import TreeOmega, builtin, distances, from_text, tree_node, two_node
+from porthunt.weight_oracle import character_weight, critical_path
 
-from instances import multi_route_example, path3_graph
+from instances import multi_route_example, path3_graph, star_key
 
 ASYMMETRIC_TEXT = """
 # a -1/9- b plus eight leaves filling b's ports 1..8
@@ -38,6 +33,33 @@ def walk(g, u, path):
             return None
         pos, _ = g.neighbor(pos, p)
     return pos
+
+
+def big_weight(g, v1, v2):
+    """W(v1, v2) = max of the two directed weights."""
+    return max(character_weight(g, v1, v2).weight, character_weight(g, v2, v1).weight)
+
+
+def bp_lex_shortest_path(g, v1, v2):
+    """Lexicographically smallest port sequence among shortest v1 -> v2 paths.
+
+    BFS layering from v2 over the underlying edges, then a greedy walk taking
+    the smallest port that decreases the remaining distance.  Finite graphs
+    only.
+    """
+    if v1 == v2:
+        return ()
+    dist = distances(g, v2)
+    if v1 not in dist:
+        raise PreconditionError(f"{v2!r} unreachable from {v1!r}")
+    ports = []
+    pos = v1
+    while pos != v2:
+        row = g.row(pos)
+        step = next(p for p, y in enumerate(row, 1) if dist[y] == dist[pos] - 1)
+        ports.append(step)
+        pos = row[step - 1]
+    return tuple(ports)
 
 
 def brute_character(g, u, v, max_value):
