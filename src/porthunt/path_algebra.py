@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from enum import Enum
-from itertools import chain, count
+from itertools import chain, count, islice, product
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import NotEnumerated
@@ -146,25 +146,18 @@ def paths_of_type(m: int, delta: int) -> Iterator[Path]:
     """All paths in {1..m}**delta with max exactly m, in lexicographic order."""
     if m < 1 or delta < 1:
         raise ValueError("paths_of_type needs m >= 1 and delta >= 1")
-    if m == 1:
-        yield (1,) * delta
-        return
-    if delta == 1:
-        yield (m,)
-        return
-    yield from _gen_type_members([], delta, False, m)
+    return _gen_type_members((), delta, m == 1, m)
 
 
-def _gen_type_members(prefix: List[int], remaining: int, seen_max: bool, m: int) -> Iterator[Path]:
-    if remaining == 0:
-        yield tuple(prefix)
-        return
-    # if the max port has not appeared and one slot is left, it must go there
-    low = m if (not seen_max and remaining == 1) else 1
-    for q in range(low, m + 1):
-        prefix.append(q)
-        yield from _gen_type_members(prefix, remaining - 1, seen_max or q == m, m)
-        prefix.pop()
+def _gen_type_members(prefix: Path, remaining: int, seen_max: bool, m: int) -> Iterator[Path]:
+    """prefix + c for every c in {1..m}**remaining that leaves m in the path,
+    in lex order: once m is seen, every completion is one product."""
+    if seen_max:
+        return map(prefix.__add__, product(range(1, m + 1), repeat=remaining))
+    if remaining == 1:  # the max port has not appeared: it must go in the last slot
+        return iter((prefix + (m,),))
+    return chain.from_iterable(_gen_type_members(prefix + (q,), remaining - 1, q == m, m)
+                               for q in range(1, m + 1))
 
 
 def global_paths(mode: EnumMode = EnumMode.FIXED) -> Iterator[Path]:
@@ -173,29 +166,43 @@ def global_paths(mode: EnumMode = EnumMode.FIXED) -> Iterator[Path]:
         yield from paths_of_type(m, delta)
 
 
-def departures(d: int, mode: EnumMode = EnumMode.FIXED) -> Iterator[Tuple[int, Path]]:
+def departures(
+    d: Optional[int], mode: EnumMode = EnumMode.FIXED, skip: int = 0
+) -> Iterator[Tuple[int, Path]]:
     """(j, path j of global_paths(mode)) for every path whose first port is at
-    most d, in order, never ending; the paths a node of degree d can depart on.
+    most d, in order, from the skip-th on, never ending; the paths a node of
+    degree d can depart on.  A node of infinite degree (d None) departs on
+    every path.
 
     The departing paths of a type (m, delta) are a lex-prefix block of it: the
     whole type if m <= d, else first ports 1..d (none at length 1).  Their
     indices follow the type's first index, counted as it passes: every type of
     length >= 2 is read, and the length-1 types before (m, delta) are
     (x0..m-1, 1) if delta = 1, else (x0..value(m, delta)/2 - 1, 1).  The
-    length-1 stream ends at x = d, since no other length-1 type departs.
+    length-1 stream ends at x = d, since no other length-1 type departs.  A
+    skipped block is counted, not generated.
     """
     x0 = LEAST_PORT[mode]
     longer = 0  # paths of the types of length >= 2 read so far
     for m, delta in types_in_order(mode, max_single=d):
         if delta == 1:
-            yield longer + m - x0 + 1, (m,)
+            if skip:
+                skip -= 1
+            else:
+                yield longer + m - x0 + 1, (m,)
             continue
         first = longer + value(m, delta) // 2 - x0 + 1
-        members = chain.from_iterable(
-            _gen_type_members([q], delta - 1, q == m, m) for q in range(1, min(m, d) + 1)
-        )
-        yield from zip(count(first), members)
         longer += count_of_type(m, delta)
+        top = m if d is None or d > m else d
+        block = count_of_type(m, delta) if top == m else top * count_of_type(m, delta - 1)
+        if skip >= block:
+            skip -= block
+            continue
+        members = chain.from_iterable(
+            _gen_type_members((q,), delta - 1, q == m, m) for q in range(1, top + 1)
+        )
+        yield from islice(zip(count(first), members), skip, None)
+        skip = 0
 
 
 def _rank_in_type(path: Path) -> int:

@@ -15,7 +15,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count
+from itertools import chain, count
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -27,8 +27,13 @@ from .errors import (
     UnknownFamily,
     UnknownNode,
 )
+from .path_algebra import EnumMode, Path, departures
 
 NodeId = str
+# (j, path j, nodes entered, entry ports) of one departing segment
+Departure = Tuple[int, Path, Sequence[NodeId], Sequence[int]]
+
+WALK_MEMO_CAP = 1024  # departing segments a FiniteGraph keeps per (home, mode)
 
 
 class PortGraph:
@@ -66,14 +71,24 @@ class PortGraph:
         it stands."""
         nodes: List[NodeId] = []
         entries: List[int] = []
+        degree, neighbor = self.degree, self.neighbor
         for p in path:
-            d = self.degree(v)  # None: every port exists
+            d = degree(v)  # None: every port exists
             if d is not None and p > d:
                 break
-            v, q = self.neighbor(v, p)
+            v, q = neighbor(v, p)
             nodes.append(v)
             entries.append(q)
         return nodes, entries
+
+    def departing_walks(self, home: NodeId, mode: EnumMode, skip: int = 0) -> Iterator[Departure]:
+        """(j, path, nodes, entries) for each path j of global_paths(mode) whose
+        first port exists at home, from the skip-th on, never ending, with the
+        walk of its maximal feasible prefix from home.  Skipped paths are
+        enumerated, not walked."""
+        for j, path in departures(self.degree(home), mode, skip):
+            nodes, entries = self.walk(home, path)
+            yield j, path, nodes, entries
 
 
 class FiniteGraph(PortGraph):
@@ -86,6 +101,8 @@ class FiniteGraph(PortGraph):
             raise ValueError("finite degree must be >= 1")
         self._max_degree = max(self._degrees.values(), default=None)
         self._bounds: Dict[NodeId, Tuple[Dict[NodeId, int], Dict[NodeId, int]]] = {}
+        # (home, mode) -> (kept segments, the stream that walks the next one)
+        self._walks: Dict[Tuple[NodeId, EnumMode], Tuple[List[Departure], Iterator[Departure]]] = {}
 
     def degree(self, v: NodeId) -> int:
         try:
@@ -128,6 +145,24 @@ class FiniteGraph(PortGraph):
         least, dist = self._bounds[src]
         reached = [(least[t], dist[t]) for t in targets if t in dist]
         return tuple(map(min, zip(*reached))) if reached else None
+
+    def departing_walks(self, home: NodeId, mode: EnumMode, skip: int = 0) -> Iterator[Departure]:
+        """The same stream.  Its first WALK_MEMO_CAP segments are kept per
+        (home, mode) as they are first walked, and shared by every later
+        stream; past them each stream walks its own."""
+        if (home, mode) not in self._walks:
+            self.degree(home)  # an unknown home raises here and leaves no entry
+            self._walks[home, mode] = [], super().departing_walks(home, mode)
+        cap = max(skip, WALK_MEMO_CAP)
+        return chain(self._kept(home, mode, skip, cap), super().departing_walks(home, mode, cap))
+
+    def _kept(self, home: NodeId, mode: EnumMode, skip: int, cap: int) -> Iterator[Departure]:
+        memo, source = self._walks[home, mode]
+        for k in range(skip, cap):
+            while len(memo) <= k:
+                j, path, nodes, entries = next(source)
+                memo.append((j, path, tuple(nodes), tuple(entries)))  # shared: immutable
+            yield memo[k]
 
     def walk_counts(self, src: NodeId, x: int) -> Iterator[int]:
         rows = self._rows

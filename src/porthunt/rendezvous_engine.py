@@ -12,8 +12,10 @@ agents crossing the same edge in opposite directions do not meet.  A dormant
 ``_walker``, serves both simulators.  All 1-bits of a segment walk the same
 path, so it walks the path once per segment and yields the segment as one
 item; asked, it then yields the segment's bursts, the walk out or back of one
-1-bit.  Each agent enumerates only the global paths whose first port exists at
-its home, indexed in closed form, with no cache shared between agents or runs;
+1-bit.  The walks of a home depend on neither label nor delay: the graph
+yields them (``PortGraph.departing_walks``), only for the global paths whose
+first port exists at the home, indexed in closed form, and a finite graph
+walks each of the first 1,024 once per (home, mode) for every run on it;
 0-bits and segments that cannot leave home cost nothing.  The fast loop merges
 the two agents by intervals: while one agent stands still through the other's
 whole item, a segment that does not visit its node is skipped and a burst is
@@ -29,7 +31,9 @@ from itertools import repeat
 from typing import Callable, Generator, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import NegativeWait, PreconditionError, RoundBudgetExceeded
-from .path_algebra import EnumMode, departures, global_paths
+from .path_algebra import EnumMode
+# unused here, but perfbench/tracing.py reads and patches this name
+from .path_algebra import global_paths  # noqa: F401
 from .port_graph import NodeId, PortGraph
 
 RvTraceRow = Tuple[int, int, int, NodeId, str, int, int, int, int]
@@ -66,7 +70,7 @@ def bound_time(n: int) -> int:
 
 def _walker(
     g: PortGraph, home: NodeId, label: int, mode: EnumMode, offset: int = 0
-) -> Generator[Tuple[int, int, List[NodeId], Optional[Sequence[int]]], bool, None]:
+) -> Generator[Tuple[int, int, Sequence[NodeId], Optional[Sequence[int]]], bool, None]:
     """The only bit walker: one item per segment whose path departs from home,
     and, when asked, that segment's bursts.
 
@@ -79,19 +83,16 @@ def _walker(
     back, through the learned entry ports, that ends at round bound_time(i);
     a burst moves once per round, to nodes[t] with port ports[t].  The
     agent is at home outside its segments, and at the far end of the walk
-    between the two bursts of a bit.  Only the paths whose first port exists
-    at home are enumerated, with their indices in closed form
-    (``departures``); a home of infinite degree departs on every path.
+    between the two bursts of a bit.  The walks come from the graph
+    (``departing_walks``), which depend only on home and mode; the walker
+    adds the label's rounds.
     """
     digits = _digits(label)
     s = 2 * len(digits) + 2
     # 0-based offsets of the 1-bits of trans(label): both copies of each 1, then the delimiter's
     ones = [k for t, ch in enumerate(digits) if ch == "1" for k in (2 * t, 2 * t + 1)]
     ones.append(s - 1)
-    d = g.degree(home)  # None: infinite degree
-    paths = enumerate(global_paths(mode), 1) if d is None else departures(d, mode)
-    for j, path in paths:
-        nodes, entries = g.walk(home, path)
+    for j, path, nodes, entries in g.departing_walks(home, mode):
         n = len(nodes)
         top = (j - 1) * s  # bits before the segment; its first bit, a 1-bit, is the shortest
         if 3 * (top + 1) * (top + 1) < 2 * n:
@@ -99,8 +100,7 @@ def _walker(
         first = offset + top * (top + 1) * (2 * top + 1) // 2  # bound_time(top)
         last = offset + (top + s) * (top + s + 1) * (2 * top + 2 * s + 1) // 2
         if (yield first, last, nodes, None):
-            ports = path[:n]
-            back, back_ports = nodes[-2::-1] + [home], entries[::-1]
+            ports, back, back_ports = path[:n], (*nodes[-2::-1], home), entries[::-1]
             for k in ones:
                 i = top + k + 1
                 start = offset + (i - 1) * i * (2 * i - 1) // 2  # bound_time(i - 1)

@@ -152,18 +152,24 @@ def _global_prefix(mode):
 
 
 @pytest.mark.parametrize("mode", [FIXED, STRICT])
-@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("d", [*range(1, 8), None])
 def test_departures_are_the_global_paths_leaving_a_degree_d_node(mode, d):
-    # STRICT with d = 1 has no length-1 type at all: its least port is 2
-    expected = [(j, p) for j, p in enumerate(_global_prefix(mode), 1) if p[0] <= d]
+    # STRICT with d = 1 has no length-1 type at all: its least port is 2;
+    # d = None is a node of infinite degree, which departs on every path
+    top = float("inf") if d is None else d
+    expected = [(j, p) for j, p in enumerate(_global_prefix(mode), 1) if p[0] <= top]
     stream = departures(d, mode)
     got = list(itertools.islice(stream, len(expected)))
     assert got == expected
-    j, p = next(stream)  # the stream goes on past the prefix
-    assert j > DEPARTURES_PREFIX and p[0] <= d
-    assert all(p[0] <= d for _, p in got)
+    following = list(itertools.islice(stream, 3200))  # the stream goes on past the prefix
+    j, p = following[0]
+    assert j > DEPARTURES_PREFIX and p[0] <= top
+    assert all(p[0] <= top for _, p in got)
     for j, p in got[::97]:
         assert index_of_path(p, mode) == j
+    ahead = got + following
+    for skip in (1, 2, 3, 7, 64, 255, 256, 1000, 1024, 2999):  # counted, not generated
+        assert list(itertools.islice(departures(d, mode, skip), 200)) == ahead[skip:skip + 200]
 
 
 def test_enumeration_completeness_fixed():

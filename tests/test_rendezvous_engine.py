@@ -4,10 +4,10 @@ from itertools import count, islice
 import pytest
 
 from porthunt.battery import far_pair, low_port_edge, rendezvous_graphs
-from porthunt.errors import NegativeWait, PreconditionError, RoundBudgetExceeded
+from porthunt.errors import NegativeWait, PreconditionError, RoundBudgetExceeded, UnknownNode
 from porthunt.path_algebra import EnumMode, global_paths
 from porthunt.port_graph import PortGraph, TreeOmega, TreeRegular, builtin, tree_node, two_node
-from porthunt import rendezvous_engine
+from porthunt import port_graph
 from porthunt.rendezvous_engine import (
     RvConfig,
     RvResult,
@@ -130,13 +130,13 @@ def test_plan_bit_length_is_allocation(i, bit):
 
 
 def test_bit_actions_reject_overlong_path(monkeypatch):
-    # serve the same path for every segment
-    monkeypatch.setattr(rendezvous_engine, "departures",
-                        lambda d, mode: ((j, (1, 1, 1, 1)) for j in count(1)))
+    # serve the same path for every segment, on a graph that has walked none yet
+    monkeypatch.setattr(port_graph, "departures",
+                        lambda d, mode, skip: ((j, (1, 1, 1, 1)) for j in count(skip + 1)))
     g = builtin("ring", [5])
     events = _move_events(g, "0", 1, EnumMode.FIXED)
     with pytest.raises(NegativeWait):
-        list(events)  # bit 1 lasts 3 rounds: 8 moves cannot fit
+        list(islice(events, 64))  # bit 1 lasts 3 rounds: 8 moves cannot fit
 
 
 def _per_bit_events(g, home, label, mode=EnumMode.FIXED):
@@ -410,9 +410,9 @@ def test_symmetric_labels_meet_in_both_assignments():
     assert a.meeting_round >= 1 and b.meeting_round >= 1
 
 
-def _dormant_cases():
+def _dormant_cases(graphs=RV_GRAPHS):
     cases = []
-    for name, g in RV_GRAPHS:
+    for name, g in graphs:
         for pair in sorted({low_port_edge(g), far_pair(g)}):
             for v1, v2 in (pair, pair[::-1]):
                 path, k = critical_path(g, v1, v2)
@@ -421,11 +421,15 @@ def _dormant_cases():
 
 
 def test_dormant_agent_is_met_at_the_critical_path_round():
+    assert _dormant_runs(_dormant_cases()) == 1344
+
+
+def _dormant_runs(cases):
     # No path before the critical path p (index k) has a feasible prefix that
     # enters v2, and every segment opens with a 1-bit, so agent 1 first enters
     # the dormant v2 at step len(p) of segment k.
     runs = 0
-    for name, g, v1, v2, path, k in _dormant_cases():
+    for name, g, v1, v2, path, k in cases:
         for label in range(1, 33):
             s = len(trans(label))
             pred = (bound_time((k - 1) * s) if k > 1 else 0) + len(path)
@@ -433,7 +437,7 @@ def test_dormant_agent_is_met_at_the_critical_path_round():
             r = run_urv(g, (v1, label), (v2, label + 1), cfg)
             assert (r.meeting_round, r.meeting_node) == (pred, v2), (name, v1, v2, label)
             runs += 1
-    assert runs == 1344
+    return runs
 
 
 @pytest.mark.parametrize("n,meeting_round,node", [
@@ -480,9 +484,9 @@ def _outcome(run, *args):
     return (r.met, r.meeting_round, r.meeting_node)
 
 
-def _cross_check_cases():
+def _cross_check_cases(graphs=RV_GRAPHS):
     cases = []
-    for name, g in RV_GRAPHS:
+    for name, g in graphs:
         for pair in sorted({low_port_edge(g), far_pair(g)}):
             cases += [(f"{name}:{a}-{b}", g, a, b) for a, b in (pair, pair[::-1])]
     cases.append(("tree_regular:3", TreeRegular(3), tree_node(2, 1), tree_node(1, 2)))
@@ -503,3 +507,84 @@ def test_interval_merge_matches_event_merge(name, g, v1, v2, mode):
         cfg = RvConfig(delay=delay, max_rounds=max_rounds, mode=mode)
         fast = _outcome(run_urv, g, (v1, l1), (v2, l2), cfg)
         assert fast == _outcome(_event_meeting, g, (v1, l1), (v2, l2), cfg), (l1, l2, cfg)
+
+
+# --- the per-home walk memo of finite graphs ----------------------------------------
+
+
+def _counting(monkeypatch, g, name):
+    """Count the calls of one method on one graph instance."""
+    calls = []
+    method = getattr(g, name)
+
+    def counted(*args):
+        calls.append(args)
+        return method(*args)
+
+    monkeypatch.setattr(g, name, counted)
+    return calls
+
+
+def test_second_run_on_one_graph_walks_nothing(monkeypatch):
+    for name, g in rendezvous_graphs():
+        v1, v2 = far_pair(g)
+        for cfg in (RvConfig(max_rounds=10 ** 30),
+                    RvConfig(delay=17, max_rounds=10 ** 30, mode=EnumMode.STRICT)):
+            first = run_urv(g, (v1, 5), (v2, 12), cfg)
+            calls = _counting(monkeypatch, g, "neighbor")
+            assert run_urv(g, (v1, 5), (v2, 12), cfg) == first, name
+            assert calls == [], name
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("cap", [2, port_graph.WALK_MEMO_CAP])
+def test_interleaved_streams_from_one_home_match_fresh_graphs(monkeypatch, cap):
+    monkeypatch.setattr(port_graph, "WALK_MEMO_CAP", cap)
+    g = builtin("ring", [6])
+    streams = [_move_events(g, "0", label, EnumMode.FIXED) for label in (5, 12, 5)]
+    got = [[], [], []]
+    for t in range(600):  # uneven steps, so each stream leads in turn
+        k = t % 3
+        got[k] += islice(streams[k], 1 + (t * 7) % 5)
+    for label, events in zip((5, 12, 5), got):
+        fresh = _move_events(builtin("ring", [6]), "0", label, EnumMode.FIXED)
+        assert events == list(islice(fresh, len(events))), label
+    assert all(len(memo) <= cap for memo, _ in g._walks.values())
+
+
+def test_walk_memo_cap_keeps_every_outcome(monkeypatch):
+    monkeypatch.setattr(port_graph, "WALK_MEMO_CAP", 2)
+    fresh = rendezvous_graphs()
+    for name, g, v1, v2 in _cross_check_cases(fresh):
+        for mode in EnumMode:
+            test_interval_merge_matches_event_merge(name, g, v1, v2, mode)
+    assert _dormant_runs(_dormant_cases(fresh)) == 1344
+    for name, g in fresh:
+        for home in sorted(set(far_pair(g))):
+            test_segment_walker_matches_per_bit_walker(name, g, home)
+    memos = [memo for _, g in fresh for memo, _ in g._walks.values()]
+    assert max(map(len, memos)) == 2
+
+
+def test_walk_memo_walks_each_segment_once(monkeypatch):
+    monkeypatch.setattr(port_graph, "WALK_MEMO_CAP", 3)
+    g = builtin("ring", [7])
+    walks = _counting(monkeypatch, g, "walk")
+    fresh = PortGraph.departing_walks(builtin("ring", [7]), "0", EnumMode.FIXED)
+    reference = list(islice(fresh, 10))
+    for walked in (10, 7):  # past the cap a stream walks its own segments, and only those
+        got = list(islice(g.departing_walks("0", EnumMode.FIXED), 10))
+        assert [(j, p, list(n), list(e)) for j, p, n, e in got] == reference
+        assert len(walks) == walked
+        walks.clear()
+    skipped = islice(g.departing_walks("0", EnumMode.FIXED, 8), 2)
+    assert [j for j, *_ in skipped] == [j for j, *_ in reference[8:]]
+
+
+def test_unknown_home_raises_and_leaves_no_walk_memo():
+    g = builtin("ring", [5])
+    with pytest.raises(UnknownNode):
+        next(g.departing_walks("5", EnumMode.FIXED))
+    with pytest.raises(UnknownNode):
+        run_urv(g, ("0", 1), ("5", 2))
+    assert g._walks == {}
