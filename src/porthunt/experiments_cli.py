@@ -150,19 +150,14 @@ LOWERBOUND_MAX_STEPS = 10 ** 7
 def check_lowerbound(i: int, max_steps: int = LOWERBOUND_MAX_STEPS) -> ExperimentReport:
     """Adversarial treasure placement on the infinite-degree tree: among the
     root's children reached by ports i+1..2i, put the treasure at the one the
-    hunt visits last and check time >= weight/4."""
+    hunt visits last and check time >= weight/4.  That child is r/2i: r/j is
+    first entered by the path (j,), as every other path into it starts with
+    port j and has a larger type, and the types (j, 1) come in increasing j."""
     if i < 1:
         raise PreconditionError("i must be >= 1")
-    if 0 < max_steps < 4 * i - 1:
-        # every type (x, 1) with x < 2i costs 2 steps at the root, so r/2i is
-        # entered at step >= 4i - 1: fail before building the i targets
-        raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
-    g = builtin("tree_omega")
-    targets = {tree_node(j): j for j in range(i + 1, 2 * i + 1)}
-    visits = first_visit_times(g, tree_node(), targets, max_steps=max_steps)
-    last = max(targets, key=lambda n: visits[n])
-    r = targets[last]
-    measured = visits[last]
+    r = 2 * i
+    t = tree_node(r)
+    measured = first_visit_times(builtin("tree_omega"), tree_node(), [t], max_steps=max_steps)[t]
     weight = 2 * r  # single edge through port r
     bound = weight / 4
     return ExperimentReport("lowerbound", f"tree_omega i={i} r={r}", measured,

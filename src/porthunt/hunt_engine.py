@@ -3,8 +3,10 @@
 The agent only sees ports.  It probes a port by attempting a move; a probe of
 a nonexistent port costs nothing, a successful move costs one step.  The
 simulator (not the agent) recognizes arrival at the treasure node.  Every
-query is answered by the compressed sweep; a traced hunt renders every step
-from the path-by-path loop over the graph's walk of each path.
+query is answered by the compressed sweep of the types that can enter a
+target, each after one closed-form charge for every earlier type (the graph's
+sweep_cost); a traced hunt renders every step from the path-by-path loop over
+the graph's walk of each path.
 """
 
 from __future__ import annotations
@@ -180,40 +182,18 @@ def _sweep_type_fast(
     return steps
 
 
-class _Charge:
+def _charge(g: PortGraph, base: NodeId, x_lo: int, t: PathType) -> int:
     """Steps of the complete sweeps of the types before t with max port at
     least x_lo, in closed form.
 
-    A path's sweep costs twice its feasible prefix, and A_x(l) * x**(y-l)
-    paths of {1..x}**y start with a feasible walk of length l, where A_x(l),
-    the graph's walk_counts, counts the port walks of length l from the base
-    with ports <= x (A_x = A_top for x >= top, the max degree).  So sweeping
-    all of {1..x}**y costs 2 * G_x(y), G_x(y) = sum_{l=1}^{y} A_x(l) * x**(y-l),
-    type (x, y) costs 2 * (G_x(y) - G_{x-1}(y)), and per length y the types
-    (x_lo .. X_y(t), y) before t telescope.
+    Sweeping all of {1..x}**y from base costs 2 * G_x(y), the graph's
+    sweep_cost, so type (x, y) costs 2 * (G_x(y) - G_{x-1}(y)), and per
+    length y the types (x_lo .. X_y(t), y) before t telescope.
     """
-
-    def __init__(self, g: PortGraph, base: NodeId, x_lo: int):
-        self._graph, self._base, self._top, self._x_lo = g, base, g.max_degree(), x_lo
-        self._walks: Dict[int, Tuple[Iterator[int], List[int]]] = {}  # min(x, top) -> A_x, its terms
-
-    def _g(self, x: int, y: int) -> int:
-        if x == 0:
-            return 0
-        w = x if self._top is None else min(x, self._top)
-        if w not in self._walks:
-            self._walks[w] = self._graph.walk_counts(self._base, w), []
-        stream, counts = self._walks[w]
-        while len(counts) < y:
-            counts.append(next(stream))
-        total = 0
-        for a in counts[:y]:
-            total = total * x + a
-        return total
-
-    def before(self, t: PathType) -> int:
-        return 2 * sum(self._g(x, y) - self._g(self._x_lo - 1, y)
-                       for y, x in last_x_by_length(t, self._x_lo))
+    cost = g.sweep_cost
+    # longest first: a graph that keeps its costs grows each list once per charge
+    return 2 * sum(cost(base, x, y) - cost(base, x_lo - 1, y)
+                   for y, x in reversed(list(last_x_by_length(t, x_lo))))
 
 
 def _first_visits(
@@ -236,11 +216,12 @@ def _first_visits(
     if bounds is None:
         raise StepBudgetExceeded(f"step budget {max_steps} exhausted")
     visits: Dict[NodeId, Visit] = {}
-    charge = _Charge(g, base, LEAST_PORT[mode])
+    x_lo = LEAST_PORT[mode]
     stream = types_in_order(mode, sweep_bound(g.max_degree(), mode),
                             min_port=bounds[0], min_length=bounds[1])
     for m, delta in stream:
-        _sweep_type_fast(g, base, targets, m, delta, charge.before((m, delta)), visits, max_steps)
+        steps_before = _charge(g, base, x_lo, (m, delta))
+        _sweep_type_fast(g, base, targets, m, delta, steps_before, visits, max_steps)
         if not targets:
             return visits
     raise AssertionError("unreachable")

@@ -6,7 +6,9 @@ positive integer as a port; ``max_degree()`` is the largest degree, None if a
 degree is infinite or unbounded.  Navigation is through
 ``neighbor(v, p) -> (u, q)`` which must be an involution: taking port q at u
 leads back to v through port p.  Node identifiers exist only for the simulator
-and the oracles; agents never observe them.
+and the oracles; agents never observe them.  The engines' structural questions
+are graph methods too: ``entry_bounds`` and ``sweep_cost`` are kept per base
+on a finite graph and in closed form on a lazy tree.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, count
+from functools import cached_property, reduce
+from itertools import accumulate, chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -60,9 +62,11 @@ class PortGraph:
         reachable.  No type (x, y) with x < mu or y < D holds a walk into targets."""
         raise NotImplementedError
 
-    def walk_counts(self, src: NodeId, x: int) -> Iterator[int]:
-        """A_x(1), A_x(2), ...: the number of port walks from src of each length
-        whose ports are all at most x."""
+    def sweep_cost(self, src: NodeId, x: int, y: int) -> int:
+        """G_x(y) = sum_{l=1}^{y} A_x(l) * x**(y-l), where A_x(l) counts the port
+        walks of length l from src whose ports are all at most x: a path's
+        sweep costs twice its maximal feasible prefix, so sweeping all of
+        {1..x}**y from src costs 2 * G_x(y).  0 for x = 0."""
         raise NotImplementedError
 
     def walk(self, v: NodeId, path: Sequence[int]) -> Tuple[List[NodeId], List[int]]:
@@ -101,6 +105,8 @@ class FiniteGraph(PortGraph):
             raise ValueError("finite degree must be >= 1")
         self._max_degree = max(self._degrees.values(), default=None)
         self._bounds: Dict[NodeId, Tuple[Dict[NodeId, int], Dict[NodeId, int]]] = {}
+        # (src, w <= max degree) -> (A_w(1..n), G_w(0..n)), read by sweep_cost
+        self._sweeps: Dict[Tuple[NodeId, int], Tuple[List[int], List[int]]] = {}
         # (home, mode) -> (kept segments, the stream that walks the next one)
         self._walks: Dict[Tuple[NodeId, EnumMode], Tuple[List[Departure], Iterator[Departure]]] = {}
 
@@ -164,16 +170,32 @@ class FiniteGraph(PortGraph):
                 memo.append((j, path, tuple(nodes), tuple(entries)))  # shared: immutable
             yield memo[k]
 
-    def walk_counts(self, src: NodeId, x: int) -> Iterator[int]:
-        rows = self._rows
-        layer = {src: 1}
-        while True:
+    def sweep_cost(self, src: NodeId, x: int, y: int) -> int:
+        """Read from two lists kept per (src, w), w = min(x, max degree) and
+        filled when first needed: A_w(1..) and G_w(0..).  For x above the max
+        degree A_x = A_w, G_x(y) is a Horner sum over it and nothing is kept."""
+        if x == 0:
+            return 0
+        w = min(x, self._max_degree)
+        counts, costs = self._sweeps.get((src, w), ((), ()))
+        if len(costs) <= y:
+            counts = self._walk_counts(src, w, max(y, 2 * len(counts)))
+            costs = list(accumulate(counts, lambda total, a: total * w + a, initial=0))
+            self._sweeps[src, w] = counts, costs
+        return costs[y] if x == w else reduce(lambda total, a: total * x + a, counts[:y], 0)
+
+    def _walk_counts(self, src: NodeId, x: int, n: int) -> List[int]:
+        """A_x(1..n), by the layer recurrence over the port rows."""
+        self.row(src)  # an unknown src raises here and leaves no entry
+        rows, layer, counts = self._rows, {src: 1}, []
+        for _ in range(n):
             nxt: Dict[NodeId, int] = {}
             for v, k in layer.items():
                 for u in rows[v][:x]:
                     nxt[u] = nxt.get(u, 0) + k
             layer = nxt
-            yield sum(nxt.values())
+            counts.append(sum(nxt.values()))
+        return counts
 
     def relabeled(self, names: Dict[NodeId, NodeId]) -> FiniteGraph:
         """The same ports with every node v renamed names[v]."""
@@ -332,12 +354,15 @@ class _LazyTree(PortGraph):
 
     def __init__(self, d: Optional[int]) -> None:
         self.d = d
-        self._materialized: set = set()
+        self._materialized: Dict[NodeId, Tuple[int, ...]] = {}  # address -> its parse
 
     def max_degree(self) -> Optional[int]:
         return self.d
 
     def _validated(self, v: NodeId) -> Tuple[int, ...]:
+        addr = self._materialized.get(v)
+        if addr is not None:
+            return addr
         addr = _parse_address(v)
         d = self.d
         if addr is None or (d is not None and addr
@@ -346,8 +371,7 @@ class _LazyTree(PortGraph):
         return addr
 
     def degree(self, v: NodeId) -> Optional[int]:
-        self._validated(v)
-        self._materialized.add(v)
+        self._materialized[v] = self._validated(v)
         return self.d
 
     def neighbor(self, v: NodeId, p: int) -> Tuple[NodeId, int]:
@@ -355,15 +379,13 @@ class _LazyTree(PortGraph):
         if p < 1 or self.d is not None and p > self.d:
             raise NoSuchPort(f"node {v!r} has no port {p}")
         if addr and p == 1:
-            parent = addr[:-1]
-            k = addr[-1]
-            entry = k if not parent else k + 1
-            result = _address(parent), entry
+            nxt, entry = addr[:-1], addr[-1] + (len(addr) > 1)
         else:
-            child_index = p if not addr else p - 1
-            result = _address(addr + (child_index,)), 1
-        self._materialized.update((v, result[0]))
-        return result
+            nxt, entry = addr + (p if not addr else p - 1,), 1
+        u = _address(nxt)
+        self._materialized[v] = addr
+        self._materialized[u] = nxt
+        return u, entry
 
     def entry_bounds(self, src: NodeId, targets: Set[NodeId]) -> Tuple[int, int]:
         """In closed form: every walk into t crosses each edge of the src -> t
@@ -378,10 +400,11 @@ class _LazyTree(PortGraph):
             geodesics.append([1] * (len(a) - j) + [k + (i > 0) for i, k in enumerate(b[j:], j)])
         return min(map(max, geodesics)), min(map(len, geodesics))
 
-    def walk_counts(self, src: NodeId, x: int) -> Iterator[int]:
-        """Every node has the ports 1..d, so A_x(l) = min(x, d)**l."""
+    def sweep_cost(self, src: NodeId, x: int, y: int) -> int:
+        """In closed form: every node has the ports 1..d, so A_x(l) = w**l with
+        w = min(x, d), and G_x(y) sums a geometric series."""
         w = x if self.d is None else min(x, self.d)
-        return (w ** l for l in count(1))
+        return y * x ** y if w == x else w * (x ** y - w ** y) // (x - w)
 
     @property
     def materialized_count(self) -> int:

@@ -20,6 +20,8 @@ from porthunt.experiments_cli import (
     main,
     resolve_graph,
 )
+from porthunt.hunt_engine import first_visit_times
+from porthunt.port_graph import builtin, tree_node
 
 GRAPH_TEXT = "edge u 1 x 1\nedge x 2 v 1\n"
 
@@ -122,20 +124,30 @@ def test_lowerbound_command(capsys):
     assert rep.passed and rep.measured >= rep.bound
 
 
-def test_lowerbound_budget_fails_before_the_sweep(monkeypatch):
-    """Every type (x, 1) with x < 2i costs 2 steps at the root, so r/2i is
-    entered at step >= 4i - 1; a smaller budget fails before the i targets
-    are built."""
-    class Swept(Exception):
-        pass
+def test_lowerbound_budget_fails_at_the_latest_first_visit():
+    """The run raises StepBudgetExceeded exactly when r/2i, the child entered
+    last, is entered beyond the budget: at i = 1000 that is step 6865."""
+    for budget in (3998, 6864):
+        with pytest.raises(StepBudgetExceeded):
+            check_lowerbound(1000, max_steps=budget)
+    assert check_lowerbound(1000, max_steps=6865).measured == 6865
 
-    def sweep(*args, **kwargs):
-        raise Swept
-    monkeypatch.setattr(experiments_cli, "first_visit_times", sweep)
-    with pytest.raises(StepBudgetExceeded):
-        check_lowerbound(1000, max_steps=3998)
-    with pytest.raises(Swept):
-        check_lowerbound(1000, max_steps=3999)
+
+@pytest.mark.parametrize("i", [1, 2, 3, 5, 16, 64])
+def test_lowerbound_is_the_literal_experiment(i):
+    """The experiment as stated: sweep for all i targets r/(i+1) .. r/2i and
+    take the one visited last; it is r/2i, at the measured step."""
+    targets = {tree_node(j): j for j in range(i + 1, 2 * i + 1)}
+    visits = first_visit_times(builtin("tree_omega"), tree_node(), targets)
+    last = max(targets, key=visits.get)
+    rep = check_lowerbound(i)
+    assert targets[last] == 2 * i
+    assert (rep.instance, rep.measured) == (f"tree_omega i={i} r={2 * i}", visits[last])
+
+
+def test_lowerbound_command_is_one_hunt(capsys):
+    assert main(["lowerbound", "--i", "1000000"]) == EXIT_OK
+    assert "measured=7664013" in capsys.readouterr().out
 
 
 def test_sleeper_command(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from porthunt import port_graph
 from porthunt.battery import random_port_graph
 from porthunt.errors import (
     BadParams,
@@ -231,6 +232,25 @@ def test_lazy_tree_materializes_only_touched_nodes():
         pos, _ = g.neighbor(pos, p)
     # a 3-move walk touches at most 4 nodes
     assert g.materialized_count <= 4
+
+
+def test_lazy_tree_parses_each_address_once(monkeypatch):
+    """A node materialized by degree or neighbor keeps its parse, and later
+    calls read it; an address never materialized is still refused."""
+    parses = []
+
+    def counted(v, original=port_graph._parse_address):
+        parses.append(v)
+        return original(v)
+    monkeypatch.setattr(port_graph, "_parse_address", counted)
+    g = TreeRegular(3)
+    pos = tree_node()
+    for p in (3, 2, 2, 1, 2):
+        pos, _ = g.neighbor(pos, p)
+    assert (pos, g.degree(pos), g.materialized_count) == (tree_node(3, 1, 1), 3, 4)
+    assert parses == [tree_node()]
+    with pytest.raises(UnknownNode):
+        g.degree(tree_node(3, 3))
 
 
 def test_truncated_tree_omega_shape():

@@ -19,7 +19,7 @@ from porthunt.battery import hunt_battery, truncated_tree_sample_nodes
 from porthunt.errors import CapExceeded, StepBudgetExceeded, UnknownNode
 from porthunt.hunt_engine import (
     HuntConfig,
-    _Charge,
+    _charge,
     _sweep_type_fast,
     first_visit_times,
     run_uth,
@@ -38,6 +38,7 @@ from porthunt.port_graph import (
     TreeOmega,
     TreeRegular,
     builtin,
+    tree_node,
     truncated_tree_omega,
     two_node,
 )
@@ -175,8 +176,9 @@ CLOSED_FORM_CASES = _closed_form_cases()
                          ids=[c[0] for c in CLOSED_FORM_CASES])
 def test_lazy_tree_closed_forms_match_the_finite_cap(name, tree, cap, max_x):
     """A finite cap of the same depth names its nodes as the tree does, and
-    agrees with it on the entry bounds of every pair and on the walk counts
-    that stay above its leaves; tree_omega only over ports up to the cap's."""
+    agrees with it on the entry bounds of every pair and on the sweep costs
+    of the lengths that stay above its leaves; tree_omega only over ports up
+    to the cap's."""
     depth = max(v.count("/") for v in cap.nodes())
     for b in cap.nodes():
         others = set(cap.nodes()) - {b}
@@ -184,21 +186,39 @@ def test_lazy_tree_closed_forms_match_the_finite_cap(name, tree, cap, max_x):
             assert tree.entry_bounds(b, {t}) == cap.entry_bounds(b, {t}), (b, t)
         assert tree.entry_bounds(b, others) == cap.entry_bounds(b, others), b
         n = depth - b.count("/")
-        for x in range(1, max_x + 1):
-            expected = list(itertools.islice(cap.walk_counts(b, x), n))
-            assert list(itertools.islice(tree.walk_counts(b, x), n)) == expected, (b, x)
+        for x, y in itertools.product(range(max_x + 1), range(n + 1)):
+            assert tree.sweep_cost(b, x, y) == cap.sweep_cost(b, x, y), (b, x, y)
+
+
+def _sweep_cost_by_brute_force(g, base, x, y):
+    """Sum of the feasible-prefix lengths of every path of {1..x}**y from base."""
+    return sum(len(g.walk(base, path)[0])
+               for path in itertools.product(range(1, x + 1), repeat=y))
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
+def test_sweep_cost_matches_brute_force(name, g):
+    """Over every x up to two above the max degree and every y up to 5, on a
+    fresh graph whose kept lists grow as the lengths rise."""
+    fresh = _fresh(g)
+    for base in g.nodes()[:2]:
+        for y, x in itertools.product(range(6), range(g.max_degree() + 3)):
+            assert fresh.sweep_cost(base, x, y) == _sweep_cost_by_brute_force(g, base, x, y), \
+                (base, x, y)
+
+
+CHARGE_GRAPHS = GRAPHS + [("tree_regular:3", TreeRegular(3)), ("tree_omega", TreeOmega())]
+
+
+@pytest.mark.parametrize("name,g", CHARGE_GRAPHS, ids=[name for name, _ in CHARGE_GRAPHS])
 def test_run_charge_equals_the_sweeps_of_its_types(name, g):
     """The closed-form total before each of the first 300 types is the sum of
-    the sweeps of every earlier type."""
+    the sweeps of every earlier type; lazy trees from the root."""
     for mode in MODES:
-        for base in g.nodes()[:2]:
-            charge = _Charge(g, base, LEAST_PORT[mode])
+        for base in (g.nodes() or [tree_node()])[:2]:
             swept = 0
             for m, delta in itertools.islice(types_in_order(mode), 300):
-                assert charge.before((m, delta)) == swept
+                assert _charge(g, base, LEAST_PORT[mode], (m, delta)) == swept
                 swept = _sweep_type_fast(g, base, set(), m, delta, swept, {}, NO_BUDGET)
 
 
@@ -277,6 +297,15 @@ def test_unknown_base_keeps_no_bounds():
     assert g._bounds == {}
     assert g.entry_bounds("0", {"1"}) == (1, 1)
     assert list(g._bounds) == ["0"]
+
+
+def test_unknown_base_keeps_no_sweep_costs():
+    g = builtin("ring", [5])
+    with pytest.raises(UnknownNode):
+        g.sweep_cost("x", 1, 3)
+    assert g._sweeps == {}
+    assert g.sweep_cost("0", 2, 3) == 24  # 8 paths, each walked 3 moves out
+    assert list(g._sweeps) == [("0", 2)]
 
 
 def _disconnected_graph():
@@ -398,19 +427,27 @@ def test_criterion_3_work_is_pinned(monkeypatch):
     counts = {hunt_engine.__name__: 0, weight_oracle.__name__: 0}
     for module in (hunt_engine, weight_oracle):
         _counting(monkeypatch, module, counts)
-    nav = {"degree": 0, "neighbor": 0}
+    nav = {"degree": 0, "neighbor": 0, "_walk_counts": 0}
     for name in nav:
         _counting_calls(monkeypatch, name, nav)
     steps = 0
-    for g, b, t in _criterion_3_instances():
+    instances = _criterion_3_instances()
+    for g, b, t in instances:
         o = character_weight(g, b, t)
         steps += run_uth(g, b, t, HuntConfig(max_steps=2 * o.weight)).steps
     # only the types between the entry bounds and the max degree are swept
     assert counts == {hunt_engine.__name__: 1936, weight_oracle.__name__: 1936}
     assert steps == 153544
     # one degree read per expanded prefix-tree node and one neighbor call per
-    # prefix-tree edge; the entry bounds and the charges read the graph's rows
-    assert nav == {"degree": 13434, "neighbor": 13446}
+    # prefix-tree edge; the entry bounds and the charges read the graph's rows,
+    # and a walk-count recurrence runs only when a kept (base, w) list grows
+    assert nav == {"degree": 13434, "neighbor": 13446, "_walk_counts": 1853}
+    # the charges keep lists per (base, w <= max degree), none per swept type
+    graphs = {id(g): g for g, _, _ in instances}.values()
+    bases = {(id(g), b) for g, b, _ in instances}
+    kept = [(id(g), b, w, g.max_degree()) for g in graphs for b, w in g._sweeps]
+    assert len(kept) == 1157
+    assert all((i, b) in bases and 1 <= w <= top for i, b, w, top in kept)
 
 
 def _counting_searches(monkeypatch, counts):
