@@ -193,7 +193,7 @@ def _charge(g: PortGraph, base: NodeId, x_lo: int, t: PathType) -> int:
     cost = g.sweep_cost
     # longest first: a graph that keeps its costs grows each list once per charge
     return 2 * sum(cost(base, x, y) - cost(base, x_lo - 1, y)
-                   for y, x in reversed(list(last_x_by_length(t, x_lo))))
+                   for y, x in last_x_by_length(t, x_lo))
 
 
 def _first_visits(

@@ -8,14 +8,18 @@ that order lazily.
 Two modes exist: STRICT enumerates only types with max port >= 2 (mirroring
 the phase loop that skips x = 1), FIXED also enumerates the all-ones types
 (1, d) at their natural value d * 2**d.  FIXED is the default everywhere.
+
+Neither order depends on a graph, so the type streams and the per-length
+thresholds behind the index are kept per process and shared by every query.
 """
 
 from __future__ import annotations
 
 import heapq
 from enum import Enum
+from functools import cache
 from itertools import chain, count, islice, product
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import NotEnumerated
 
@@ -79,6 +83,11 @@ def phase_types(j: int, mode: EnumMode = EnumMode.FIXED) -> List[PathType]:
     return out
 
 
+# (x0, max_port, max_single, min_length) -> (the types merged so far, the merge
+# that appends the next one); one per restriction, shared by every stream of it
+_KEPT_TYPES: Dict[tuple, Tuple[List[PathType], Iterator[PathType]]] = {}
+
+
 def types_in_order(
     mode: EnumMode = EnumMode.FIXED,
     max_port: Optional[int] = None,
@@ -88,18 +97,37 @@ def types_in_order(
 ) -> Iterator[PathType]:
     """All types in increasing (value, lex) order, one per yield, never ending.
 
-    Priority-queue merge of the per-length streams; emits exactly the order of
-    the phase loop (j = 2, 3, ... with lex-sorted types inside each phase).
-    With max_port, each stream ends at x = max_port: the subsequence of types
-    whose max port is at most max_port.  With max_single, the length-1 stream
-    also ends at x = max_single (it is empty below the mode's least port).
-    With min_port and min_length, the streams start at x = min_port (or the
-    mode's least port, if larger) and the lengths at min_length: the
-    subsequence of types (x, y) with x >= min_port and y >= min_length.
+    Emits exactly the order of the phase loop (j = 2, 3, ... with lex-sorted
+    types inside each phase).  With max_port, each per-length stream ends at
+    x = max_port: the subsequence of types whose max port is at most
+    max_port.  With max_single, the length-1 stream also ends at
+    x = max_single (it is empty below the mode's least port).  With min_port
+    and min_length, the streams start at x = min_port (or the mode's least
+    port, if larger) and the lengths at min_length: the subsequence of types
+    (x, y) with x >= min_port and y >= min_length.
+
+    The order does not depend on the caller, so each restriction's types are
+    kept per process in one list, read by position by every stream of it and
+    grown by one merged type whenever a stream reads past its end.
     """
     x0 = max(min_port, LEAST_PORT[mode])
-    if max_port is not None and max_port < x0:
-        raise ValueError(f"no type of mode {mode.value} has max port in {x0}..{max_port}")
+    key = x0, max_port, max_single, min_length
+    if key not in _KEPT_TYPES:
+        if max_port is not None and max_port < x0:  # raised on every call; nothing kept
+            raise ValueError(f"no type of mode {mode.value} has max port in {x0}..{max_port}")
+        _KEPT_TYPES[key] = [], _merge(*key)
+    kept, merge = _KEPT_TYPES[key]
+    i = 0
+    while True:
+        if i == len(kept):
+            kept.append(next(merge))
+        yield kept[i]
+        i += 1
+
+
+def _merge(x0: int, max_port: Optional[int], max_single: Optional[int],
+           min_length: int) -> Iterator[PathType]:
+    """Priority-queue merge of the per-length streams of types_in_order."""
     next_y = 2 if min_length == 1 and max_single is not None and max_single < x0 else min_length
     heap: List[Tuple[int, int, int]] = []
     while True:
@@ -120,15 +148,19 @@ def sweep_bound(max_degree: Optional[int], mode: EnumMode) -> Optional[int]:
     return None if max_degree is None or max_degree < LEAST_PORT[mode] else max_degree
 
 
-def last_x_by_length(t: PathType, x_min: int) -> Iterator[Tuple[int, int]]:
-    """(y, X_y(t)) for each length y whose type (x_min, y) precedes t, where
-    X_y(t) is the largest x with (value(x, y), x, y) < (value(t), t)."""
+@cache
+def last_x_by_length(t: PathType, x_min: int) -> Tuple[Tuple[int, int], ...]:
+    """(y, X_y(t)) for each length y whose type (x_min, y) precedes t, longest
+    first, where X_y(t) is the largest x with (value(x, y), x, y) < (value(t), t).
+    Kept per (t, x_min) for the process: the tuple is shared by every caller."""
     v, y = value(*t), 1
     key = (v,) + t
+    out = []
     while ((scale := y << y) * x_min ** y, x_min, y) < key:  # value(x, y) = scale * x**y
         x = _iroot(v // scale, y)
-        yield y, x - 1 if scale * x ** y == v and (x, y) >= t else x
+        out.append((y, x - 1 if scale * x ** y == v and (x, y) >= t else x))
         y += 1
+    return tuple(reversed(out))
 
 
 def paths_before(t: PathType, mode: EnumMode = EnumMode.FIXED) -> int:

@@ -105,10 +105,11 @@ class FiniteGraph(PortGraph):
             raise ValueError("finite degree must be >= 1")
         self._max_degree = max(self._degrees.values(), default=None)
         self._bounds: Dict[NodeId, Tuple[Dict[NodeId, int], Dict[NodeId, int]]] = {}
-        # (src, w <= max degree) -> (A_w(1..n), G_w(0..n)), read by sweep_cost
-        self._sweeps: Dict[Tuple[NodeId, int], Tuple[List[int], List[int]]] = {}
-        # (home, mode) -> (kept segments, the stream that walks the next one)
-        self._walks: Dict[Tuple[NodeId, EnumMode], Tuple[List[Departure], Iterator[Departure]]] = {}
+        # (src, w <= max degree) -> (A_w(1..n) if w is the max degree else (), G_w(0..n))
+        self._sweeps: Dict[Tuple[NodeId, int], Tuple[Sequence[int], List[int]]] = {}
+        # (home, mode) -> (kept segments, the stream that walks the next one; None when full)
+        self._walks: Dict[Tuple[NodeId, EnumMode],
+                          Tuple[List[Departure], Optional[Iterator[Departure]]]] = {}
 
     def degree(self, v: NodeId) -> int:
         try:
@@ -168,20 +169,23 @@ class FiniteGraph(PortGraph):
             while len(memo) <= k:
                 j, path, nodes, entries = next(source)
                 memo.append((j, path, tuple(nodes), tuple(entries)))  # shared: immutable
+                if len(memo) == cap:  # full: every later stream walks its own from here
+                    self._walks[home, mode] = memo, None
             yield memo[k]
 
     def sweep_cost(self, src: NodeId, x: int, y: int) -> int:
-        """Read from two lists kept per (src, w), w = min(x, max degree) and
-        filled when first needed: A_w(1..) and G_w(0..).  For x above the max
-        degree A_x = A_w, G_x(y) is a Horner sum over it and nothing is kept."""
+        """Read from G_w(0..), kept per (src, w), w = min(x, max degree), and
+        filled when first needed.  For x above the max degree A_x = A_w, G_x(y)
+        is a Horner sum over it and nothing more is kept: A_w is kept only for
+        w the max degree, since a list that grows reruns the recurrence."""
         if x == 0:
             return 0
         w = min(x, self._max_degree)
         counts, costs = self._sweeps.get((src, w), ((), ()))
         if len(costs) <= y:
-            counts = self._walk_counts(src, w, max(y, 2 * len(counts)))
+            counts = self._walk_counts(src, w, max(y, 2 * len(costs) - 2))
             costs = list(accumulate(counts, lambda total, a: total * w + a, initial=0))
-            self._sweeps[src, w] = counts, costs
+            self._sweeps[src, w] = counts if w == self._max_degree else (), costs
         return costs[y] if x == w else reduce(lambda total, a: total * x + a, counts[:y], 0)
 
     def _walk_counts(self, src: NodeId, x: int, n: int) -> List[int]:

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from porthunt import path_algebra
 from porthunt.errors import NotEnumerated
 from porthunt.path_algebra import (
+    LEAST_PORT,
     EnumMode,
     count_of_type,
     departures,
     global_paths,
     index_of_path,
+    last_x_by_length,
     paths_of_type,
     phase_types,
     type_of,
@@ -82,6 +85,53 @@ def test_types_in_order_matches_phase_loop(mode):
         j += 1
         from_phases.extend(phase_types(j, mode))
     assert from_stream == from_phases[:200]
+
+
+RESTRICTIONS = [  # (max_port, max_single, min_port, min_length)
+    (None, None, 1, 1), (2, None, 1, 1), (3, 2, 1, 1), (None, 1, 1, 1),
+    (None, 5, 2, 3), (7, None, 3, 4), (4, 4, 2, 1),
+]
+
+
+@pytest.mark.parametrize("mode", [FIXED, STRICT])
+@pytest.mark.parametrize("restriction", RESTRICTIONS)
+def test_interleaved_streams_of_one_restriction_match_a_fresh_merge(monkeypatch, mode,
+                                                                    restriction):
+    monkeypatch.setattr(path_algebra, "_KEPT_TYPES", {})
+    max_port, max_single, min_port, min_length = restriction
+    fresh = path_algebra._merge(max(min_port, LEAST_PORT[mode]), max_port, max_single,
+                                min_length)
+    expected = list(itertools.islice(fresh, 401))
+    a, b = (types_in_order(mode, *restriction) for _ in range(2))
+    got_a = list(itertools.islice(a, 10))
+    got_b = list(itertools.islice(b, 300))
+    got_a += itertools.islice(a, 391)
+    assert got_a == expected
+    assert got_b == expected[:300]
+    # one kept list, no longer than the deepest stream has read
+    [(kept, _)] = path_algebra._KEPT_TYPES.values()
+    assert kept == expected
+
+
+@pytest.mark.parametrize("mode,max_port,min_port", [(STRICT, 1, 1), (FIXED, 2, 3), (STRICT, 3, 5)])
+def test_invalid_restriction_raises_every_time_and_keeps_nothing(monkeypatch, mode, max_port,
+                                                                 min_port):
+    monkeypatch.setattr(path_algebra, "_KEPT_TYPES", {})
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            next(types_in_order(mode, max_port, min_port=min_port))
+    assert path_algebra._KEPT_TYPES == {}
+
+
+@pytest.mark.parametrize("mode", [FIXED, STRICT])
+def test_kept_thresholds_equal_a_fresh_computation(mode):
+    for t in itertools.islice(types_in_order(mode), 500):
+        for x_min in (1, 2):
+            kept = last_x_by_length(t, x_min)
+            assert kept == last_x_by_length.__wrapped__(t, x_min), (t, x_min)
+            assert last_x_by_length(t, x_min) is kept and isinstance(kept, tuple)
+            lengths = [y for y, _ in kept]
+            assert lengths == sorted(lengths, reverse=True)  # longest first
 
 
 @pytest.mark.parametrize("m", range(1, 6))

@@ -581,6 +581,21 @@ def test_walk_memo_walks_each_segment_once(monkeypatch):
     assert [j for j, *_ in skipped] == [j for j, *_ in reference[8:]]
 
 
+def test_full_walk_memo_drops_its_stream(monkeypatch):
+    monkeypatch.setattr(port_graph, "WALK_MEMO_CAP", 3)
+    g = builtin("ring", [7])
+    stream = g.departing_walks("0", EnumMode.FIXED)
+    list(islice(stream, 2))
+    assert g._walks["0", EnumMode.FIXED][1] is not None
+    next(stream)
+    memo, source = g._walks["0", EnumMode.FIXED]
+    assert len(memo) == 3 and source is None
+    fresh = PortGraph.departing_walks(builtin("ring", [7]), "0", EnumMode.FIXED)
+    reference = [(j, p, list(n), list(e)) for j, p, n, e in islice(fresh, 10)]
+    for got in (list(islice(stream, 7)), list(islice(g.departing_walks("0", EnumMode.FIXED), 10))):
+        assert [(j, p, list(n), list(e)) for j, p, n, e in got] == reference[-len(got):]
+
+
 def test_unknown_home_raises_and_leaves_no_walk_memo():
     g = builtin("ring", [5])
     with pytest.raises(UnknownNode):

@@ -308,6 +308,20 @@ def test_unknown_base_keeps_no_sweep_costs():
     assert list(g._sweeps) == [("0", 2)]
 
 
+def test_walk_counts_are_kept_only_at_the_max_degree():
+    """G_w is kept for every w; A_w only for w = max degree, the Horner case.
+    Every node of complete(4) has degree 3, so A_x(l) = min(x, 3)**l."""
+    g = builtin("complete", [4])
+
+    def closed_form(x, y):
+        return sum(min(x, 3) ** l * x ** (y - l) for l in range(1, y + 1))
+    for x in (1, 2, 3, 5, 2, 7):
+        assert g.sweep_cost("0", x, 6) == closed_form(x, 6), x
+    assert {w: len(counts) for (_, w), (counts, _) in g._sweeps.items()} == {1: 0, 2: 0, 3: 6}
+    assert g.sweep_cost("0", 4, 13) == closed_form(4, 13)
+    assert [len(costs) for _, costs in g._sweeps.values()] == [7, 7, 14]
+
+
 def _disconnected_graph():
     """a - b with a self-loop at a, and a separate c - d."""
     return FiniteGraph({
