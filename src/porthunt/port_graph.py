@@ -154,24 +154,27 @@ class FiniteGraph(PortGraph):
         return tuple(map(min, zip(*reached))) if reached else None
 
     def departing_walks(self, home: NodeId, mode: EnumMode, skip: int = 0) -> Iterator[Departure]:
-        """The same stream.  Its first WALK_MEMO_CAP segments are kept per
-        (home, mode) as they are first walked, and shared by every later
-        stream; past them each stream walks its own."""
-        if (home, mode) not in self._walks:
-            self.degree(home)  # an unknown home raises here and leaves no entry
-            self._walks[home, mode] = [], super().departing_walks(home, mode)
+        """The same stream.  Its first WALK_MEMO_CAP segments are read from
+        ``kept_walks``; past them each stream walks its own."""
         cap = max(skip, WALK_MEMO_CAP)
-        return chain(self._kept(home, mode, skip, cap), super().departing_walks(home, mode, cap))
+        return chain((self.kept_walks(home, mode, k)[k] for k in range(skip, cap)),
+                     super().departing_walks(home, mode, cap))
 
-    def _kept(self, home: NodeId, mode: EnumMode, skip: int, cap: int) -> Iterator[Departure]:
-        memo, source = self._walks[home, mode]
-        for k in range(skip, cap):
-            while len(memo) <= k:
-                j, path, nodes, entries = next(source)
-                memo.append((j, path, tuple(nodes), tuple(entries)))  # shared: immutable
-                if len(memo) == cap:  # full: every later stream walks its own from here
-                    self._walks[home, mode] = memo, None
-            yield memo[k]
+    def kept_walks(self, home: NodeId, mode: EnumMode, upto: int = -1) -> List[Departure]:
+        """The departing segments kept per (home, mode), a list shared by every
+        stream, first walked through index upto (< WALK_MEMO_CAP) by one filling
+        stream.  Entry k is walked once, when some reader first needs it."""
+        entry = self._walks.get((home, mode))
+        if entry is None:
+            self.degree(home)  # an unknown home raises here and leaves no entry
+            entry = self._walks[home, mode] = [], super().departing_walks(home, mode)
+        memo, source = entry
+        while len(memo) <= upto:
+            j, path, nodes, entries = next(source)
+            memo.append((j, path, tuple(nodes), tuple(entries)))  # shared: immutable
+            if len(memo) == WALK_MEMO_CAP:  # full: every later stream walks its own from here
+                self._walks[home, mode] = memo, None
+        return memo
 
     def sweep_cost(self, src: NodeId, x: int, y: int) -> int:
         """Read from G_w(0..), kept per (src, w), w = min(x, max degree), and
@@ -200,13 +203,6 @@ class FiniteGraph(PortGraph):
             layer = nxt
             counts.append(sum(nxt.values()))
         return counts
-
-    def relabeled(self, names: Dict[NodeId, NodeId]) -> FiniteGraph:
-        """The same ports with every node v renamed names[v]."""
-        if len({names[v] for v in self._adj}) != len(self._adj):
-            raise ValueError("names is not a bijection")
-        return FiniteGraph({names[v]: {p: (names[u], q) for p, (u, q) in ports.items()}
-                            for v, ports in self._adj.items()})
 
     @property
     def adjacency(self) -> Dict[NodeId, Dict[int, Tuple[NodeId, int]]]:

@@ -15,8 +15,12 @@ item; asked, it then yields the segment's bursts, the walk out or back of one
 1-bit.  The walks of a home depend on neither label nor delay: the graph
 yields them (``PortGraph.departing_walks``), only for the global paths whose
 first port exists at the home, indexed in closed form, and a finite graph
-walks each of the first 1,024 once per (home, mode) for every run on it;
-0-bits and segments that cannot leave home cost nothing.  The fast loop merges
+walks each of the first 1,024 once per (home, mode) for every run on it.  The
+rounds of a segment, bound_time((j-1)s) and bound_time(js) for path j and tape
+length s, depend on neither label bits nor delay either: for those 1,024 they
+are priced once per (graph, home, mode, s), so a run on a warm graph reads
+walk and rounds by position.  0-bits and segments that cannot leave home cost
+nothing.  The fast loop merges
 the two agents by intervals: while one agent stands still through the other's
 whole item, a segment that does not visit its node is skipped and a burst is
 searched for it, each in O(1); only where two bursts overlap does it compare
@@ -28,13 +32,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Generator, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, Iterator, List, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
+from . import port_graph
 from .errors import NegativeWait, PreconditionError, RoundBudgetExceeded
 from .path_algebra import EnumMode
 # unused here, but perfbench/tracing.py reads and patches this name
 from .path_algebra import global_paths  # noqa: F401
-from .port_graph import NodeId, PortGraph
+from .port_graph import Departure, FiniteGraph, NodeId, PortGraph
 
 RvTraceRow = Tuple[int, int, int, NodeId, str, int, int, int, int]
 # round, agent, awake, node, action, port, bit_index, bit_value, segment_index
@@ -68,6 +74,13 @@ def bound_time(n: int) -> int:
     return n * (n + 1) * (2 * n + 1) // 2
 
 
+# finite graph -> (home, mode, tape length s) -> (its kept walks, [first_0, last_0,
+# first_1, ...]): bound_time((j-1)s) and bound_time(js) of kept walk q, path j, as
+# far as the deepest walker with tape length s has read; freed with the graph
+_ROUNDS: WeakKeyDictionary[FiniteGraph, Dict[tuple, Tuple[List[Departure], List[int]]]] = \
+    WeakKeyDictionary()
+
+
 def _walker(
     g: PortGraph, home: NodeId, label: int, mode: EnumMode, offset: int = 0
 ) -> Generator[Tuple[int, int, Sequence[NodeId], Optional[Sequence[int]]], bool, None]:
@@ -85,14 +98,43 @@ def _walker(
     agent is at home outside its segments, and at the far end of the walk
     between the two bursts of a bit.  The walks come from the graph
     (``departing_walks``), which depend only on home and mode; the walker
-    adds the label's rounds.
+    adds the label's rounds.  On a finite graph it reads the kept walks
+    (``kept_walks``) and their rounds (``_ROUNDS``) by position; a kept
+    segment is priced, and checked for NegativeWait, by the first walker of
+    its tape length to reach it, and one that cannot fit is never stored,
+    so every walker that reaches it raises.  Past the kept walks it reads a
+    stream of its own and prices each segment inline.
     """
     digits = _digits(label)
     s = 2 * len(digits) + 2
-    # 0-based offsets of the 1-bits of trans(label): both copies of each 1, then the delimiter's
-    ones = [k for t, ch in enumerate(digits) if ch == "1" for k in (2 * t, 2 * t + 1)]
-    ones.append(s - 1)
-    for j, path, nodes, entries in g.departing_walks(home, mode):
+    ones: List[int] = []  # built at the first split
+    skip = 0
+    if isinstance(g, FiniteGraph):
+        table, key = _ROUNDS.setdefault(g, {}), (home, mode, s)
+        # an unknown home raises in kept_walks and stores nothing
+        kept, rounds = table.get(key) or table.setdefault(key, (g.kept_walks(home, mode), []))
+        skip = port_graph.WALK_MEMO_CAP
+        for q in range(skip):
+            if 2 * q < len(rounds):  # priced by a walker with this tape length
+                j, path, nodes, entries = kept[q]
+            else:  # priced here, checked as below: a path that cannot fit stores nothing
+                j, path, nodes, entries = kept[q] if q < len(kept) else g.kept_walks(home, mode, q)[q]
+                top = (j - 1) * s
+                if 3 * (top + 1) * (top + 1) < 2 * len(nodes):
+                    raise NegativeWait(f"bit {top + 1} cannot fit path {path}")
+                rounds += top * (top + 1) * (2 * top + 1) // 2, \
+                    (top + s) * (top + s + 1) * (2 * top + 2 * s + 1) // 2
+            if (yield offset + rounds[2 * q], offset + rounds[2 * q + 1], nodes, None):
+                ones = ones or _ones(digits)
+                n, top = len(nodes), (j - 1) * s
+                ports, back, back_ports = path[:n], (*nodes[-2::-1], home), entries[::-1]
+                for k in ones:  # the bursts, as below
+                    i = top + k + 1
+                    start = offset + (i - 1) * i * (2 * i - 1) // 2
+                    yield start, start + n, nodes, ports
+                    end = start + 3 * i * i
+                    yield end - n, end, back, back_ports
+    for j, path, nodes, entries in g.departing_walks(home, mode, skip):
         n = len(nodes)
         top = (j - 1) * s  # bits before the segment; its first bit, a 1-bit, is the shortest
         if 3 * (top + 1) * (top + 1) < 2 * n:
@@ -100,6 +142,7 @@ def _walker(
         first = offset + top * (top + 1) * (2 * top + 1) // 2  # bound_time(top)
         last = offset + (top + s) * (top + s + 1) * (2 * top + 2 * s + 1) // 2
         if (yield first, last, nodes, None):
+            ones = ones or _ones(digits)
             ports, back, back_ports = path[:n], (*nodes[-2::-1], home), entries[::-1]
             for k in ones:
                 i = top + k + 1
@@ -107,6 +150,13 @@ def _walker(
                 yield start, start + n, nodes, ports
                 end = start + 3 * i * i  # bit i holds 3 * i**2 rounds
                 yield end - n, end, back, back_ports
+
+
+def _ones(digits: str) -> List[int]:
+    """0-based offsets of the 1-bits of trans(label), from its binary digits:
+    both copies of each 1, then the delimiter's."""
+    ones = [k for t, ch in enumerate(digits) if ch == "1" for k in (2 * t, 2 * t + 1)]
+    return ones + [2 * len(digits) + 1]
 
 
 def _move_events(

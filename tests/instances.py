@@ -1,6 +1,6 @@
 """Test-only instances and helpers: the worked four-route example, the
-three-node path, the start pairs of the rendezvous battery, and a comparator
-for the global path order."""
+three-node path, a graph with its nodes renamed, the start pairs of the
+rendezvous battery, and a comparator for the global path order."""
 
 from typing import Dict, List, Tuple
 
@@ -54,6 +54,15 @@ def path3_graph() -> FiniteGraph:
         "v": {1: ("x", 2)},
     }
     return FiniteGraph(adj)
+
+
+def relabeled(g: FiniteGraph, names: Dict[NodeId, NodeId]) -> FiniteGraph:
+    """The same ports as g with every node v renamed names[v]."""
+    adj = g.adjacency
+    if len({names[v] for v in adj}) != len(adj):
+        raise ValueError("names is not a bijection")
+    return FiniteGraph({names[v]: {p: (names[u], q) for p, (u, q) in ports.items()}
+                        for v, ports in adj.items()})
 
 
 def rendezvous_start_pairs(g: FiniteGraph, max_k_star: int = 33) -> List[Tuple[NodeId, NodeId]]:

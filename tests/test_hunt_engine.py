@@ -14,7 +14,7 @@ from porthunt.port_graph import (
     two_node,
 )
 
-from instances import multi_route_example, path3_graph
+from instances import multi_route_example, path3_graph, relabeled
 
 CHAIN_TEXT = """
 # u -5-> a -2-> b -3-> c, with filler leaves completing the port sets
@@ -267,7 +267,7 @@ def test_hunt_is_anonymous_under_relabeling():
     g = builtin("random_tree", [8, 5])
     ns = sorted(g.nodes())
     mapping = {v: f"x{v}" for v in g.nodes()}
-    rg = g.relabeled(mapping)
+    rg = relabeled(g, mapping)
     r1, rows1 = _traced_run(g, ns[0], ns[-1])
     r2, rows2 = _traced_run(rg, mapping[ns[0]], mapping[ns[-1]])
     assert rows1 == rows2  # trace rows carry no node names

@@ -28,6 +28,8 @@ from porthunt.port_graph import (
     validate,
 )
 
+from instances import relabeled
+
 TEXT_OK = """
 # three-node path
 node u
@@ -121,8 +123,8 @@ def test_degree_contract():
         assert g.degree(tree_node(d, d - 1, d - 1)) == d  # depth 3, last child at each level
     assert TreeOmega().degree(tree_node(9, 9, 9)) is None
     ring = builtin("ring", [5])
-    relabeled = ring.relabeled({v: "n" + v for v in ring.nodes()})
-    assert relabeled.degree("n3") == 2 and relabeled.max_degree() == 2
+    renamed = relabeled(ring, {v: "n" + v for v in ring.nodes()})
+    assert renamed.degree("n3") == 2 and renamed.max_degree() == 2
     for g in (TreeRegular(3), TreeOmega()):
         with pytest.raises(NoSuchPort):
             g.neighbor(tree_node(1), 0)
@@ -285,13 +287,13 @@ def test_random_battery_graphs_validate(seed):
 def test_relabeled_graph_is_same_structure():
     g = builtin("ring", [4])
     mapping = {v: f"n{v}" for v in g.nodes()}
-    rg = g.relabeled(mapping)
+    rg = relabeled(g, mapping)
     assert not validate(rg)
     assert rg.neighbor("n0", 1) == ("n1", 2)
     with pytest.raises(UnknownNode):
         rg.degree("0")
     with pytest.raises(ValueError):
-        g.relabeled(dict(mapping, **{"1": "n0"}))  # two nodes named n0
+        relabeled(g, dict(mapping, **{"1": "n0"}))  # two nodes named n0
 
 
 def test_neighbor_is_deterministic():

@@ -9,9 +9,11 @@ from porthunt.path_algebra import EnumMode, global_paths
 from porthunt.port_graph import PortGraph, TreeOmega, TreeRegular, builtin, tree_node, two_node
 from porthunt import port_graph
 from porthunt.rendezvous_engine import (
+    _ROUNDS,
     RvConfig,
     RvResult,
     _move_events,
+    _walker,
     bound_time,
     run_urv,
     trans,
@@ -137,6 +139,19 @@ def test_bit_actions_reject_overlong_path(monkeypatch):
     events = _move_events(g, "0", 1, EnumMode.FIXED)
     with pytest.raises(NegativeWait):
         list(islice(events, 64))  # bit 1 lasts 3 rounds: 8 moves cannot fit
+    # path 2 walks 50 moves: bit 9 of a tape of length 8 (243 rounds) fits
+    # it, bit 5 of a tape of length 4 (75 rounds) does not
+    monkeypatch.setattr(port_graph, "departures",
+                        lambda d, mode, skip: ((j, (1,) * (50 if j == 2 else 1))
+                                               for j in count(skip + 1)))
+    g = builtin("ring", [5])
+    list(islice(_walker(g, "0", 5, EnumMode.FIXED), 6))  # tape length 8 prices segments 1-6
+    for _ in range(2):  # on the warm graph, every walker of label 1 raises at segment 2
+        events = []
+        with pytest.raises(NegativeWait, match="bit 5 "):
+            events += _move_events(g, "0", 1, EnumMode.FIXED)
+        assert len(events) == 6  # the three 1-bits of segment 1, out and back
+        assert [len(rounds) for _, rounds in _ROUNDS[g].values()] == [12, 2]
 
 
 def _per_bit_events(g, home, label, mode=EnumMode.FIXED):
@@ -603,3 +618,55 @@ def test_unknown_home_raises_and_leaves_no_walk_memo():
     with pytest.raises(UnknownNode):
         run_urv(g, ("0", 1), ("5", 2))
     assert g._walks == {}
+
+
+# --- the rounds of the kept walks, priced once per tape length -------------------
+
+
+def _segment_items(g, home, label, mode, n, offset=0):
+    """The first n segment items of a walker, split into bursts at none."""
+    return [item[:2] + (tuple(item[2]),) for item in islice(_walker(g, home, label, mode, offset), n)]
+
+
+@pytest.mark.parametrize("mode", [EnumMode.FIXED, EnumMode.STRICT], ids=["fixed", "strict"])
+def test_kept_rounds_are_the_bound_times_of_their_segments(mode):
+    labels = (1, 5, 12, 100, 5, 1)  # tape lengths 4, 8, 10 and 16, then two again
+    for name, g in [("ring:6", builtin("ring", [6]))] + rendezvous_graphs()[:3]:
+        home = sorted(g.nodes())[0]
+        for label in labels:  # the first prices on a fresh graph, the last two read
+            s = len(trans(label))
+            reference = _segment_items(_CountingGraph(g), home, label, mode, 40, 7)
+            assert _segment_items(g, home, label, mode, 40, 7) == reference, (name, label)
+            kept, rounds = _ROUNDS[g][home, mode, s]
+            assert len(rounds) == 2 * 40
+            for q, (j, _, nodes, _) in enumerate(kept[:40]):
+                first = bound_time((j - 1) * s) if j > 1 else 0
+                assert rounds[2 * q:2 * q + 2] == [first, bound_time(j * s)]
+                assert reference[q] == (7 + first, 7 + bound_time(j * s), nodes)
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_kept_rounds_hold_what_the_deepest_walker_read(monkeypatch, cap):
+    monkeypatch.setattr(port_graph, "WALK_MEMO_CAP", cap)
+    g = builtin("ring", [7])
+    deepest = 0
+    for depth in (1, 2, 1, 5, 3):
+        walker = _walker(g, "0", 5, EnumMode.FIXED)
+        next(walker)
+        for _ in range(depth - 1):  # split each segment into its bursts and move on
+            walker.send(True)
+            while walker.send(False)[3] is not None:
+                pass
+        deepest = max(deepest, depth)
+        kept, rounds = _ROUNDS[g]["0", EnumMode.FIXED, 8]
+        assert len(rounds) == 2 * min(deepest, cap) and len(kept) == min(deepest, cap)
+    fresh = _segment_items(_CountingGraph(builtin("ring", [7])), "0", 5, EnumMode.FIXED, 8)
+    assert _segment_items(g, "0", 5, EnumMode.FIXED, 8) == fresh  # read past the cap
+
+
+def test_unknown_home_leaves_no_kept_rounds():
+    g = builtin("ring", [5])
+    for mode in EnumMode:
+        with pytest.raises(UnknownNode):
+            next(_move_events(g, "5", 3, mode))
+    assert g._walks == {} and not _ROUNDS.get(g)

@@ -44,7 +44,7 @@ from porthunt.port_graph import (
 )
 from porthunt.weight_oracle import character_weight
 
-from instances import path3_graph
+from instances import path3_graph, relabeled
 
 MODES = [EnumMode.FIXED, EnumMode.STRICT]
 NO_BUDGET = math.inf
@@ -255,7 +255,7 @@ def test_row_lists_the_neighbor_of_each_port(name, g):
 
 def _fresh(g):
     """A new graph with g's nodes and ports, and no bounds kept yet."""
-    return g.relabeled({v: v for v in g.nodes()})
+    return relabeled(g, {v: v for v in g.nodes()})
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
@@ -399,7 +399,7 @@ def test_max_degree_and_sweep_bound():
     assert builtin("complete", [5]).max_degree() == 4
     assert truncated_tree_omega(2, 12).max_degree() == 12
     ring = builtin("ring", [6])
-    assert ring.relabeled({v: "x" + v for v in ring.nodes()}).max_degree() == 2
+    assert relabeled(ring, {v: "x" + v for v in ring.nodes()}).max_degree() == 2
     assert TreeOmega().max_degree() is None
     for d in (1, 2, 3, 7):
         assert TreeRegular(d).max_degree() == d
