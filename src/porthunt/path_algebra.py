@@ -30,6 +30,7 @@ PathType = Tuple[int, int]  # (max port, length)
 class EnumMode(Enum):
     STRICT = "strict"
     FIXED = "fixed"
+    __hash__ = object.__hash__  # singletons compared by identity: hash in C, not by name
 
 
 LEAST_PORT = {EnumMode.FIXED: 1, EnumMode.STRICT: 2}  # STRICT skips the all-ones types

@@ -1,10 +1,12 @@
 """Two-agent rendezvous: label tapes, the 3i^2 bit scheduler, one bit walker.
 
 Each agent derives an infinite periodic bit tape from its label and processes
-bit i for exactly 3 * i**2 rounds.  A 1-bit in the j-th tape segment walks the
-maximal feasible prefix of the j-th path of the global order, waits at its
-end, and walks back; a 0-bit waits in place.  Agents start and end every bit
-at their starting node.
+bit i for exactly 3 * i**2 rounds.  A label's tape and the offsets of its 1-bits
+depend on the label alone, so they are built once per process (``_tape``) for
+``trans`` and the walker.  A 1-bit in the j-th tape segment walks the maximal
+feasible prefix of the j-th path of the global order, waits at its end, and
+walks back; a 0-bit waits in place.  Agents start and end every bit at their
+starting node.
 
 The simulator is synchronous.  Meetings are detected at round boundaries only;
 agents crossing the same edge in opposite directions do not meet.  A dormant
@@ -31,7 +33,8 @@ flattened into move events (``_move_events``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from functools import lru_cache
+from itertools import compress, repeat
 from typing import Callable, Dict, Generator, Iterator, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
@@ -50,21 +53,22 @@ RV_TRACE_HEADER = (
     "bit_index", "bit_value", "segment_index",
 )
 
+_DOUBLED = str.maketrans({"0": "\0\0", "1": "\1\1"})  # a binary digit as two bytes
 
-def _digits(label: int) -> str:
-    """Binary digits of a label, most significant first."""
+
+@lru_cache(maxsize=4096, typed=True)
+def _tape(label: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """trans(label) and the 0-based offsets of its 1-bits, built once per label
+    and kept for the process (at most 4,096 labels); typed, so 1.0 still raises."""
     if label < 1:
         raise ValueError("labels are positive integers")
-    return bin(label)[2:]
+    tape = tuple((bin(label)[2:].translate(_DOUBLED) + "\0\1").encode())
+    return tape, tuple(compress(range(len(tape)), tape))
 
 
 def trans(label: int) -> Tuple[int, ...]:
     """Self-delimiting bit block of a label: each binary digit doubled, then 01."""
-    bits: List[int] = []
-    for ch in _digits(label):
-        b = int(ch)
-        bits += [b, b]
-    return tuple(bits) + (0, 1)
+    return _tape(label)[0]
 
 
 def bound_time(n: int) -> int:
@@ -98,16 +102,16 @@ def _walker(
     agent is at home outside its segments, and at the far end of the walk
     between the two bursts of a bit.  The walks come from the graph
     (``departing_walks``), which depend only on home and mode; the walker
-    adds the label's rounds.  On a finite graph it reads the kept walks
+    adds the label's rounds, reading the tape length and the 1-bit offsets
+    from the kept tape (``_tape``).  On a finite graph it reads the kept walks
     (``kept_walks``) and their rounds (``_ROUNDS``) by position; a kept
     segment is priced, and checked for NegativeWait, by the first walker of
     its tape length to reach it, and one that cannot fit is never stored,
     so every walker that reaches it raises.  Past the kept walks it reads a
     stream of its own and prices each segment inline.
     """
-    digits = _digits(label)
-    s = 2 * len(digits) + 2
-    ones: List[int] = []  # built at the first split
+    tape, ones = _tape(label)
+    s = len(tape)
     skip = 0
     if isinstance(g, FiniteGraph):
         table, key = _ROUNDS.setdefault(g, {}), (home, mode, s)
@@ -125,7 +129,6 @@ def _walker(
                 rounds += top * (top + 1) * (2 * top + 1) // 2, \
                     (top + s) * (top + s + 1) * (2 * top + 2 * s + 1) // 2
             if (yield offset + rounds[2 * q], offset + rounds[2 * q + 1], nodes, None):
-                ones = ones or _ones(digits)
                 n, top = len(nodes), (j - 1) * s
                 ports, back, back_ports = path[:n], (*nodes[-2::-1], home), entries[::-1]
                 for k in ones:  # the bursts, as below
@@ -142,7 +145,6 @@ def _walker(
         first = offset + top * (top + 1) * (2 * top + 1) // 2  # bound_time(top)
         last = offset + (top + s) * (top + s + 1) * (2 * top + 2 * s + 1) // 2
         if (yield first, last, nodes, None):
-            ones = ones or _ones(digits)
             ports, back, back_ports = path[:n], (*nodes[-2::-1], home), entries[::-1]
             for k in ones:
                 i = top + k + 1
@@ -150,13 +152,6 @@ def _walker(
                 yield start, start + n, nodes, ports
                 end = start + 3 * i * i  # bit i holds 3 * i**2 rounds
                 yield end - n, end, back, back_ports
-
-
-def _ones(digits: str) -> List[int]:
-    """0-based offsets of the 1-bits of trans(label), from its binary digits:
-    both copies of each 1, then the delimiter's."""
-    ones = [k for t, ch in enumerate(digits) if ch == "1" for k in (2 * t, 2 * t + 1)]
-    return ones + [2 * len(digits) + 1]
 
 
 def _move_events(

@@ -1,5 +1,7 @@
+import copy
 import functools
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,21 @@ FIXED = EnumMode.FIXED
 STRICT = EnumMode.STRICT
 
 paths_st = st.lists(st.integers(1, 6), min_size=1, max_size=5).map(tuple)
+
+
+def test_modes_round_trip_to_themselves():
+    """Modes hash by identity: keys, pickles and deep copies still give back
+    the one member, and iteration keeps definition order."""
+    assert list(EnumMode) == [STRICT, FIXED]
+    keyed = {("0", mode): mode for mode in EnumMode}
+    for mode in EnumMode:
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(mode, proto)) is mode
+        for twin in (copy.deepcopy(mode), copy.copy(mode), EnumMode(mode.value), EnumMode[mode.name]):
+            assert twin is mode and hash(twin) == hash(mode)
+            assert keyed[("0", twin)] is mode
+            assert copy.deepcopy({mode: 1}) == {mode: 1}
+    assert LEAST_PORT[pickle.loads(pickle.dumps(STRICT))] == 2
 
 
 def test_value_worked_examples():

@@ -13,6 +13,7 @@ from porthunt.rendezvous_engine import (
     RvConfig,
     RvResult,
     _move_events,
+    _tape,
     _walker,
     bound_time,
     run_urv,
@@ -47,6 +48,52 @@ def test_trans_examples():
     assert trans(5) == (1, 1, 0, 0, 1, 1, 0, 1)
     with pytest.raises(ValueError):
         trans(0)
+
+
+def _reference_trans(label):
+    """Reference trans, digit by digit: each binary digit doubled, then 01."""
+    bits = []
+    for ch in bin(label)[2:]:
+        b = int(ch)
+        bits += [b, b]
+    return tuple(bits) + (0, 1)
+
+
+def _reference_ones(digits):
+    """0-based offsets of the 1-bits of trans(label), from its binary digits:
+    both copies of each 1, then the delimiter's."""
+    ones = [k for t, ch in enumerate(digits) if ch == "1" for k in (2 * t, 2 * t + 1)]
+    return ones + [2 * len(digits) + 1]
+
+
+def test_kept_tape_matches_the_per_digit_reference():
+    for label in itertools.chain(range(1, 2 ** 13 + 1), (2 ** 64 + 1, 2 ** 200 - 1)):
+        tape, ones = _tape(label)
+        assert trans(label) == tape == _reference_trans(label), label
+        assert list(ones) == _reference_ones(bin(label)[2:]), label
+        # a kept entry is shared by every caller, so neither part can be mutable
+        assert type(tape) is tuple and type(ones) is tuple
+
+
+def test_tape_errors_keep_nothing_and_keep_todays_types():
+    _tape.cache_clear()
+    for label in (0, -3):
+        with pytest.raises(ValueError, match="labels are positive integers"):
+            trans(label)
+    assert _tape.cache_info().currsize == 0
+    with pytest.raises(TypeError):
+        trans(1.0)
+    assert trans(1) == (1, 1, 0, 1)
+    with pytest.raises(TypeError):  # 1.0 == 1, but the memo keys by type too
+        trans(1.0)
+    assert trans(True) == trans(1)
+    with pytest.raises(TypeError):  # untyped, the key (1.0,) would find (True,)
+        trans(1.0)
+    assert _tape.cache_info().currsize == 2
+    for start1, start2 in ((("u", 0), ("v", 2)), (("u", 2), ("v", 0))):
+        for cfg in (RvConfig(), RvConfig(trace=lambda row: None)):
+            with pytest.raises(ValueError, match="labels are positive integers"):
+                run_urv(two_node(), start1, start2, cfg)
 
 
 def test_trans_length_formula():

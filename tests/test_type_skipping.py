@@ -15,7 +15,13 @@ import random
 import pytest
 
 from porthunt import hunt_engine, port_graph, weight_oracle
-from porthunt.battery import hunt_battery, truncated_tree_sample_nodes
+from porthunt.battery import (
+    RENDEZVOUS_DELAYS,
+    RENDEZVOUS_LABEL_PAIRS,
+    hunt_battery,
+    rendezvous_graphs,
+    truncated_tree_sample_nodes,
+)
 from porthunt.errors import CapExceeded, StepBudgetExceeded, UnknownNode
 from porthunt.hunt_engine import (
     HuntConfig,
@@ -42,9 +48,10 @@ from porthunt.port_graph import (
     truncated_tree_omega,
     two_node,
 )
-from porthunt.weight_oracle import character_weight
+from porthunt.rendezvous_engine import RvConfig, _tape, bound_time, run_urv, trans
+from porthunt.weight_oracle import character_weight, critical_path
 
-from instances import path3_graph, relabeled
+from instances import path3_graph, relabeled, rendezvous_start_pairs
 
 MODES = [EnumMode.FIXED, EnumMode.STRICT]
 NO_BUDGET = math.inf
@@ -462,6 +469,32 @@ def test_criterion_3_work_is_pinned(monkeypatch):
     kept = [(id(g), b, w, g.max_degree()) for g in graphs for b, w in g._sweeps]
     assert len(kept) == 1157
     assert all((i, b) in bases and 1 <= w <= top for i, b, w, top in kept)
+
+
+def test_criterion_7_tapes_are_built_once():
+    """Each label's tape is built once per process: the criterion-7 battery,
+    run twice from an empty memo, builds one tape per distinct label, and
+    every later walker and n-hat bound reads the kept one."""
+    _tape.cache_clear()
+    graphs = [g for _, g in rendezvous_graphs()]
+    runs = 0
+    for _ in range(2):
+        for g in graphs:
+            for v1, v2 in rendezvous_start_pairs(g):
+                _, k1 = critical_path(g, v1, v2)
+                _, k2 = critical_path(g, v2, v1)
+                for l1, l2 in RENDEZVOUS_LABEL_PAIRS:
+                    n_hat = max(k1 * len(trans(l1)), k2 * len(trans(l2)))
+                    for delay in RENDEZVOUS_DELAYS:
+                        r = run_urv(g, (v1, l1), (v2, l2), RvConfig(delay=delay))
+                        assert r.met and r.meeting_round <= delay + bound_time(n_hat)
+                        runs += 1
+    labels = {label for pair in RENDEZVOUS_LABEL_PAIRS for label in pair}
+    info = _tape.cache_info()
+    assert runs == 1024 and len(labels) == 12
+    assert info.misses == info.currsize == len(labels)
+    # one read per walker (two per run) and two per n-hat (one per four runs)
+    assert info.hits + info.misses == 2 * runs + runs // 2
 
 
 def _counting_searches(monkeypatch, counts):
